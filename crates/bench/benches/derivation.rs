@@ -85,7 +85,7 @@ fn bench_derivation(c: &mut Criterion) {
     for entries in [500usize, 5_000] {
         let mw = primed_client(&session, entries);
         group.bench_function(format!("derived-per-query-{entries}-entries"), |b| {
-            b.iter(|| black_box(mw.derived(QueryId::new(0), &probe)))
+            b.iter(|| black_box(mw.cache().derived(QueryId::new(0), &probe)))
         });
         group.bench_function(format!("derived-workload-{entries}-entries"), |b| {
             b.iter(|| black_box(mw.derived_workload(&probe)))
@@ -383,7 +383,17 @@ fn bench_rollout(c: &mut Criterion) {
     let mut rng = seeded(11);
 
     group.bench_function("random-step-completion", |b| {
-        b.iter(|| black_box(policy.rollout(&ctx, &constraints, &selection, &[], &empty, &mut rng)))
+        b.iter(|| {
+            black_box(policy.rollout(
+                &ctx,
+                &constraints,
+                &selection,
+                &[],
+                &empty,
+                &mut rng,
+                |_, _| {},
+            ))
+        })
     });
     group.finish();
 }

@@ -484,11 +484,6 @@ impl<'a> MeteredWhatIf<'a> {
         }
     }
 
-    /// Derived cost `d(q, C)` (never consumes budget).
-    pub fn derived(&self, q: QueryId, config: &IndexSet) -> f64 {
-        self.cache.derived(q, config)
-    }
-
     /// Workload-level derived cost `d(W, C)`.
     pub fn derived_workload(&self, config: &IndexSet) -> f64 {
         self.cache.derived_workload(config)
@@ -570,7 +565,7 @@ mod tests {
         let mut master = MeteredWhatIf::new(&opt, 5);
         let c0 = IndexSet::singleton(n, IndexId::new(0));
         master.what_if(q, &c0).unwrap();
-        let _ = master.derived(
+        let _ = master.cache().derived(
             q,
             &IndexSet::from_ids(n, [IndexId::new(0), IndexId::new(1)]),
         );
@@ -634,7 +629,7 @@ mod tests {
         let q = QueryId::new(0);
         let cfg = IndexSet::from_ids(n, [IndexId::new(0), IndexId::new(1)]);
         let c = mw.what_if(q, &cfg).unwrap();
-        assert_eq!(mw.derived(q, &cfg), c);
+        assert_eq!(mw.cache().derived(q, &cfg), c);
     }
 
     #[test]

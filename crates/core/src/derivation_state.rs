@@ -28,9 +28,13 @@
 //!   the derivation-counter behavior of callers that historically did so
 //!   (Best-Greedy extraction).
 //!
-//! All of this is bit-for-bit equivalent to the full rescan: the same
-//! `f64` min over the same values, summed in the same query order. The
-//! proptest in `tests/derivation_state_props.rs` pins that down.
+//! On monotone caches all of this is bit-for-bit equivalent to the full
+//! rescan: the same `f64` min over the same values, summed in the same
+//! query order. The proptest in `tests/derivation_state_props.rs` pins
+//! that down. The equivalence is conditional: where an exact entry costs
+//! more than a stored subset of it, `WhatIfCache::derived` returns the
+//! exact value while the carried minimum keeps the cheaper subset (see
+//! [`WhatIfCache::derived_with_extra`]).
 
 use crate::derived::WhatIfCache;
 use ixtune_common::{IndexId, IndexSet, QueryId};

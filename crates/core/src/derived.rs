@@ -80,6 +80,38 @@ impl CacheShard {
             derivations: AtomicUsize::new(0),
         }
     }
+
+    /// One row of incremental derivation: `current` lowered by the
+    /// singleton `{extra}` and by the multi entries containing `extra` that
+    /// fit in `config ∪ {extra}`. The postings visit those entries in
+    /// ascending cost order, so the scan stops at the first entry that
+    /// cannot improve; the subset test runs block-wise without
+    /// materializing `set \ {extra}`.
+    #[inline]
+    fn extend_row(&self, lq: usize, config: &IndexSet, extra: IndexId, current: f64) -> f64 {
+        let mut best = current;
+        let s = self.singleton[lq][extra.index()];
+        if !s.is_nan() && s < best {
+            best = s;
+        }
+        let prow = &self.postings[lq];
+        if prow.is_empty() {
+            // No multi entries for this row (postings never materialized).
+            return best;
+        }
+        let list = &self.multi[lq];
+        for &pos in &prow[extra.index()] {
+            let (set, cost) = &list[pos as usize];
+            if *cost >= best {
+                break;
+            }
+            // set ⊆ C ∪ {extra} ⇔ set \ {extra} ⊆ C.
+            if set.is_subset_except(config, extra) {
+                best = *cost;
+            }
+        }
+        best
+    }
 }
 
 impl Clone for CacheShard {
@@ -241,6 +273,11 @@ impl WhatIfCache {
     /// `c(q, ∅)`.
     pub fn empty_cost(&self, q: QueryId) -> f64 {
         self.empty[q.index()]
+    }
+
+    /// `c(q, ∅)` for every query, in query order.
+    pub fn empty_costs(&self) -> &[f64] {
+        &self.empty
     }
 
     /// `cost(W, ∅)` (cached at construction).
@@ -478,18 +515,25 @@ impl WhatIfCache {
         &shard.multi[lq]
     }
 
-    /// Incremental derivation: `d(q, C ∪ {extra})` given `d(q, C)`.
+    /// Incremental derivation: `d(q, C ∪ {extra})` given `current = d(q, C)`.
     ///
-    /// Exploits `d(q, C ∪ {x}) = min(d(q,C), c(q,{x}), min over known
-    /// entries that contain x and fit in C ∪ {x})`. The inverted postings
-    /// narrow the scan to exactly the multi entries containing `extra`, in
+    /// Computes `min(current, c(q,{x}), min over known entries that
+    /// contain x and fit in C ∪ {x})`. The inverted postings narrow the
+    /// scan to exactly the multi entries containing `extra`, in
     /// ascending-cost order, so the early exit still applies; the subset
     /// test runs block-wise without materializing `set \ {extra}`.
     ///
     /// Returns bit-for-bit the same value as the full scan
     /// ([`derived_with_extra_scan`](Self::derived_with_extra_scan)): both
     /// visit the qualifying entries in the same order and take the same
-    /// `min` over the same set of `f64`s.
+    /// `min` over the same set of `f64`s. It equals a fresh
+    /// [`derived`](Self::derived) of `C ∪ {x}` only while no exact entry
+    /// costs more than a stored subset of it: `derived` returns an exact
+    /// entry for `C ∪ {x}` even when a subset is cheaper, while this
+    /// minimum keeps the cheaper subset; and when `current` is such an
+    /// exact value for `C`, the cheaper subset of `C` never enters the
+    /// minimum (see the `with_extra_diverges_from_derived_on_non_monotone_entries`
+    /// test).
     pub fn derived_with_extra(
         &self,
         q: QueryId,
@@ -512,28 +556,63 @@ impl WhatIfCache {
         current: f64,
     ) -> f64 {
         let (shard, lq) = self.slot(q.index());
-        let mut best = current;
-        let s = shard.singleton[lq][extra.index()];
-        if !s.is_nan() && s < best {
-            best = s;
-        }
-        let prow = &shard.postings[lq];
-        if prow.is_empty() {
-            // No multi entries for this row (postings never materialized).
-            return best;
-        }
-        let list = &shard.multi[lq];
-        for &pos in &prow[extra.index()] {
-            let (set, cost) = &list[pos as usize];
-            if *cost >= best {
-                break;
+        shard.extend_row(lq, config, extra, current)
+    }
+
+    /// [`derived_with_extra`](Self::derived_with_extra) for every query at
+    /// once, in place and uncounted: lowers each `costs[q]` to the cheapest
+    /// known entry that contains `extra` and fits in `config ∪ {extra}`.
+    /// The loop runs shard by shard, then row by row, so no query pays a
+    /// shard lookup.
+    ///
+    /// Started from [`empty_costs`](Self::empty_costs) and applied once per
+    /// index added along a path `∅ → … → C`, `costs[q]` ends as the
+    /// *subset minimum* `min{c(q, S) : S ⊆ C known}` — which, unlike
+    /// [`derived`](Self::derived), also folds in an exact entry for `C`.
+    /// [`settle_derived`](Self::settle_derived) turns it into `d(q, C)`.
+    pub fn extend_costs(&self, config: &IndexSet, extra: IndexId, costs: &mut [f64]) {
+        debug_assert_eq!(costs.len(), self.num_queries());
+        let s = self.shards.len();
+        for (si, shard) in self.shards.iter().enumerate() {
+            for lq in 0..shard.singleton.len() {
+                let cost = &mut costs[lq * s + si];
+                *cost = shard.extend_row(lq, config, extra, *cost);
             }
-            // set ⊆ C ∪ {extra} ⇔ set \ {extra} ⊆ C.
-            if set.is_subset_except(config, extra) {
-                best = *cost;
-            }
         }
-        best
+    }
+
+    /// Turn per-query subset minima of `config` (see
+    /// [`extend_costs`](Self::extend_costs)) into derived costs `d(q, C)`,
+    /// bit-identical to calling [`derived`](Self::derived) per query and
+    /// with the same telemetry: an exact hit overrides the minimum (it
+    /// wins even where costs are non-monotone and a stored subset is
+    /// cheaper), and every other query counts one derivation. The interned
+    /// id of `config` is resolved once for the whole workload.
+    pub fn settle_derived(&self, config: &IndexSet, costs: &mut [f64]) {
+        debug_assert_eq!(costs.len(), self.num_queries());
+        if config.is_empty() {
+            // Every query hits its ∅ entry, the subset minimum's only term.
+            return;
+        }
+        let (single, id) = match config.len() {
+            1 => (config.iter().next().map(IndexId::index), None),
+            _ => (None, self.interner.get(config)),
+        };
+        let s = self.shards.len();
+        for (si, shard) in self.shards.iter().enumerate() {
+            let mut derived = 0;
+            for lq in 0..shard.singleton.len() {
+                let exact = match single {
+                    Some(i) => Some(shard.singleton[lq][i]).filter(|v| !v.is_nan()),
+                    None => id.and_then(|id| shard.exact[lq].get(id)),
+                };
+                match exact {
+                    Some(v) => costs[lq * s + si] = v,
+                    None => derived += 1,
+                }
+            }
+            shard.derivations.fetch_add(derived, Ordering::Relaxed);
+        }
     }
 
     /// Serializable image of the cache for checkpoint/resume.
@@ -795,6 +874,47 @@ mod tests {
                 let full = c.derived(q, &cfg.with(extra));
                 assert_eq!(fast, slow, "cfg={cfg:?} extra={x}");
                 assert_eq!(fast, full, "cfg={cfg:?} extra={x}");
+            }
+        }
+    }
+
+    #[test]
+    fn with_extra_diverges_from_derived_on_non_monotone_entries() {
+        let mut c = cache();
+        let q = QueryId::new(0);
+        // {0, 1} costs more than its stored subset {0}.
+        c.put(q, &set(4, &[0]), 40.0);
+        c.put(q, &set(4, &[0, 1]), 60.0);
+
+        // The exact entry for C ∪ {x} wins in `derived`; the incremental
+        // minimum keeps the cheaper subset.
+        let cur = c.derived(q, &set(4, &[0]));
+        assert_eq!(
+            c.derived_with_extra(q, &set(4, &[0]), IndexId::new(1), cur),
+            40.0
+        );
+        assert_eq!(c.derived(q, &set(4, &[0, 1])), 60.0);
+
+        // Chained from the exact value of C, the minimum misses {0}, which
+        // a fresh derivation of C ∪ {x} finds.
+        let cur = c.derived(q, &set(4, &[0, 1]));
+        assert_eq!(
+            c.derived_with_extra(q, &set(4, &[0, 1]), IndexId::new(2), cur),
+            60.0
+        );
+        assert_eq!(c.derived(q, &set(4, &[0, 1, 2])), 40.0);
+
+        // Subset minima carried along the path and settled per
+        // configuration agree with `derived` at every step.
+        let mut costs = c.empty_costs().to_vec();
+        let mut cfg = IndexSet::empty(4);
+        for x in [0, 1, 2] {
+            c.extend_costs(&cfg, IndexId::new(x), &mut costs);
+            cfg.insert(IndexId::new(x));
+            let mut settled = costs.clone();
+            c.settle_derived(&cfg, &mut settled);
+            for (i, v) in settled.iter().enumerate() {
+                assert_eq!(*v, c.derived(QueryId::from(i), &cfg), "cfg={cfg:?}");
             }
         }
     }

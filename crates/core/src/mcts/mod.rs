@@ -149,22 +149,23 @@ impl MctsTuner {
     /// `EvaluateCostWithBudget` (Algorithm 3): estimate `cost(W, C)` with a
     /// single budgeted what-if call against a query sampled proportionally
     /// to its derived cost. Returns `None` once the budget is exhausted.
-    /// `derived` is a reusable scratch buffer owned by the episode loop.
+    /// `costs` holds the per-query subset minima of `config` that the
+    /// episode carried down its path (see [`WhatIfCache::extend_costs`]);
+    /// settling them yields exactly the derived costs `d(q, C)` — and the
+    /// derivation telemetry — of a fresh per-query derivation.
     fn evaluate_with_budget(
         &self,
         mw: &mut MeteredWhatIf<'_>,
         config: &IndexSet,
         rng: &mut StdRng,
-        derived: &mut Vec<f64>,
+        costs: &mut [f64],
     ) -> Option<f64> {
-        let m = mw.num_queries();
-        derived.clear();
-        derived.extend((0..m).map(|q| mw.derived(QueryId::from(q), config)));
-        let pick = weighted_choice(rng, derived)?;
+        mw.cache().settle_derived(config, costs);
+        let pick = weighted_choice(rng, costs)?;
         let q = QueryId::from(pick);
         let exact = mw.what_if(q, config)?;
         let total: f64 = exact
-            + derived
+            + costs
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| *i != pick)
@@ -175,6 +176,13 @@ impl MctsTuner {
 
     /// One episode of Algorithm 3. Returns `false` when the budget ran out
     /// before the episode could evaluate a configuration.
+    ///
+    /// Per-query costs ride along the path: they start at `c(q, ∅)` and
+    /// every selection action and rollout insertion extends them with one
+    /// batched [`WhatIfCache::extend_costs`] call, instead of deriving every
+    /// query from scratch at the leaf. No what-if call happens before the
+    /// evaluation, so the cache they were extended against is the one the
+    /// evaluation settles them against.
     #[allow(clippy::too_many_arguments)]
     fn run_episode(
         &self,
@@ -189,18 +197,31 @@ impl MctsTuner {
         buffers: &mut EpisodeBuffers,
     ) -> bool {
         // --- Selection / expansion (SampleConfiguration) ---
-        let mut path: Vec<(usize, IndexId)> = Vec::new();
+        let EpisodeBuffers {
+            costs,
+            actions,
+            path,
+        } = buffers;
+        let cache = mw.cache();
+        path.clear();
+        costs.clear();
+        costs.extend_from_slice(cache.empty_costs());
         let mut node = Tree::ROOT;
-        let actions = &mut buffers.actions;
         let (config, via_rollout) = loop {
             let n = tree.node(node);
             let is_leaf = n.children.is_empty();
             let terminal = n.config.len() >= constraints.k;
             if is_leaf && !n.visited && node != Tree::ROOT {
                 // Unvisited leaf: simulate via rollout.
-                let completed =
-                    self.rollout
-                        .rollout(ctx, constraints, &self.selection, priors, &n.config, rng);
+                let completed = self.rollout.rollout(
+                    ctx,
+                    constraints,
+                    &self.selection,
+                    priors,
+                    &n.config,
+                    rng,
+                    |c, a| cache.extend_costs(c, a, costs),
+                );
                 break (completed, true);
             }
             if terminal {
@@ -219,6 +240,7 @@ impl MctsTuner {
             else {
                 break (n.config.clone(), false);
             };
+            cache.extend_costs(&n.config, action, costs);
             let child = tree.get_or_create_child(node, action);
             path.push((node, action));
             node = child;
@@ -230,7 +252,7 @@ impl MctsTuner {
         } else {
             Phase::Selection
         });
-        let Some(cost) = self.evaluate_with_budget(mw, &config, rng, &mut buffers.derived) else {
+        let Some(cost) = self.evaluate_with_budget(mw, &config, rng, costs) else {
             return false;
         };
 
@@ -241,7 +263,7 @@ impl MctsTuner {
         } else {
             0.0
         };
-        tree.update_path(&path, node, reward);
+        tree.update_path(path, node, reward);
         if let Some(table) = amaf {
             table.update(&config, reward);
         }
@@ -254,14 +276,19 @@ impl MctsTuner {
     }
 }
 
-/// Reusable per-episode scratch buffers, hoisted into [`MctsTuner::run`] so
-/// the episode loop allocates nothing per episode.
+/// Per-episode scratch buffers, allocated once per search by the episode
+/// loop. Episodes still allocate elsewhere: [`SelectionPolicy::select`]
+/// builds its value and visit-count vectors per call, the rollout its
+/// action and weight vectors, and each episode clones its configuration.
 #[derive(Default)]
 struct EpisodeBuffers {
-    /// Per-query derived costs for `EvaluateCostWithBudget`.
-    derived: Vec<f64>,
+    /// Per-query costs of the episode's configuration: subset minima while
+    /// the path grows, derived costs once settled for the evaluation.
+    costs: Vec<f64>,
     /// Admissible action set for tree selection.
     actions: Vec<IndexId>,
+    /// The `(node, action)` pairs selected from the root down.
+    path: Vec<(usize, IndexId)>,
 }
 
 /// The full mutable state of one (single-tree) MCTS search between

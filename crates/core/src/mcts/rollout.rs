@@ -36,7 +36,10 @@ impl RolloutPolicy {
 
     /// Run a rollout from `config` (at depth `d = |config|`): sample the
     /// step size, then insert that many admissible indexes chosen per the
-    /// action-selection flavor.
+    /// action-selection flavor. Each insertion is reported as
+    /// `on_insert(configuration before it, inserted index)` — the MCTS
+    /// episode extends its per-query costs this way.
+    #[allow(clippy::too_many_arguments)]
     pub fn rollout(
         &self,
         ctx: &TuningContext<'_>,
@@ -45,6 +48,7 @@ impl RolloutPolicy {
         priors: &[f64],
         config: &IndexSet,
         rng: &mut StdRng,
+        mut on_insert: impl FnMut(&IndexSet, IndexId),
     ) -> IndexSet {
         let depth = config.len();
         let max_step = constraints.k.saturating_sub(depth);
@@ -83,6 +87,7 @@ impl RolloutPolicy {
             };
             match pick {
                 Some(a) => {
+                    on_insert(&out, a);
                     out.insert(a);
                 }
                 None => break,
@@ -121,6 +126,7 @@ mod tests {
             &[],
             &cfg,
             &mut rng,
+            |_, _| {},
         );
         assert_eq!(out, cfg);
     }
@@ -140,6 +146,7 @@ mod tests {
             &[],
             &cfg,
             &mut rng,
+            |_, _| {},
         );
         assert_eq!(out.len(), 2);
     }
@@ -159,6 +166,7 @@ mod tests {
                 &[],
                 &IndexSet::empty(ctx.universe()),
                 &mut rng,
+                |_, _| {},
             );
             assert!(out.len() <= k);
         }
@@ -180,6 +188,7 @@ mod tests {
             &[],
             &cfg,
             &mut rng,
+            |_, _| {},
         );
         assert_eq!(out, cfg);
     }
@@ -202,6 +211,7 @@ mod tests {
                 &priors,
                 &IndexSet::empty(n),
                 &mut rng,
+                |_, _| {},
             );
             assert!(out.contains(IndexId::new(1)), "only positive-prior index");
         }

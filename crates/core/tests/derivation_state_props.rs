@@ -6,7 +6,11 @@
 //!
 //! Caches are generated monotone (cost of a superset never exceeds the
 //! cost of a subset), matching Assumption 1 of the paper; the exact-hit
-//! shortcut in `WhatIfCache::derived` relies on it.
+//! shortcut in `WhatIfCache::derived` relies on it. The exception is the
+//! MCTS oracle at the end, which drops monotonicity on purpose: subset
+//! minima carried along a path (`WhatIfCache::extend_costs`) and settled
+//! at its end (`WhatIfCache::settle_derived`) must equal `derived` on any
+//! cache.
 
 use ixtune_common::{IndexId, IndexSet, QueryId};
 use ixtune_core::{DerivationState, WhatIfCache};
@@ -170,6 +174,94 @@ proptest! {
                 checked.derived(q, &probe).to_bits(),
                 unchecked.derived(q, &probe).to_bits()
             );
+        }
+    }
+}
+
+/// Queries in the MCTS oracle — more than the cache has shards, so rows
+/// wrap and the shard-major loops visit local rows past the first.
+const ORACLE_QUERIES: usize = 11;
+
+/// Costs come from a coarse grid so equal costs (ties in the sorted multi
+/// lists) are common.
+fn grid_cost(level: u32) -> f64 {
+    10.0 * f64::from(level)
+}
+
+/// Settle a copy of the carried costs for `config` and compare it, bit for
+/// bit and derivation for derivation, with a fresh `derived` per query.
+fn assert_settles_to_derived(
+    cache: &WhatIfCache,
+    config: &IndexSet,
+    carried: &[f64],
+) -> Result<(), TestCaseError> {
+    let mut settled = carried.to_vec();
+    let before = cache.derivations();
+    cache.settle_derived(config, &mut settled);
+    let settle_count = cache.derivations() - before;
+    let before = cache.derivations();
+    for (i, v) in settled.iter().enumerate() {
+        let fresh = cache.derived(QueryId::from(i), config);
+        prop_assert!(
+            v.to_bits() == fresh.to_bits(),
+            "query {} config {:?}: settled {} != derived {}",
+            i,
+            config,
+            v,
+            fresh
+        );
+    }
+    prop_assert_eq!(settle_count, cache.derivations() - before);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The MCTS episode's cost vector: extended along a random path with
+    /// `extend_costs` and settled at every prefix, it equals a fresh
+    /// `derived` of that prefix for every query — on caches with
+    /// out-of-order inserts, cost ties, and exact entries priced above
+    /// their stored subsets (where the exact value must win). Prefixes of
+    /// size 0, 1 and more are all settled.
+    #[test]
+    fn path_carried_costs_settle_to_fresh_derivation(
+        empties in prop::collection::vec(50.0..150.0f64, ORACLE_QUERIES),
+        entries in prop::collection::vec(
+            (0..ORACLE_QUERIES, prop::collection::vec(0..UNIVERSE, 1..4), 1..16u32),
+            0..80,
+        ),
+        path in prop::collection::vec(0..UNIVERSE, 0..7),
+        on_path in prop::collection::vec((0..ORACLE_QUERIES, any::<bool>(), 1..16u32), 7),
+    ) {
+        let mut steps = Vec::new();
+        let mut seen = IndexSet::empty(UNIVERSE);
+        for x in path {
+            if seen.insert(IndexId::from(x)) {
+                steps.push(IndexId::from(x));
+            }
+        }
+        let mut cache = WhatIfCache::new(UNIVERSE, empties);
+        // Exact entries for the path's own prefixes, priced off the grid
+        // regardless of their subsets — often above one of them.
+        let mut prefix = IndexSet::empty(UNIVERSE);
+        for (&x, &(q, put, level)) in steps.iter().zip(&on_path) {
+            prefix.insert(x);
+            if put {
+                cache.put(QueryId::from(q), &prefix, grid_cost(level));
+            }
+        }
+        for (q, ids, level) in &entries {
+            cache.put(QueryId::from(*q), &build_set(ids), grid_cost(*level));
+        }
+
+        let mut costs = cache.empty_costs().to_vec();
+        let mut config = IndexSet::empty(UNIVERSE);
+        assert_settles_to_derived(&cache, &config, &costs)?;
+        for x in steps {
+            cache.extend_costs(&config, x, &mut costs);
+            config.insert(x);
+            assert_settles_to_derived(&cache, &config, &costs)?;
         }
     }
 }

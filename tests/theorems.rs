@@ -79,7 +79,7 @@ proptest! {
         for q in 0..opt.num_queries() {
             let q = QueryId::from(q);
             let exact = opt.what_if_cost(q, &config);
-            let d = mw.derived(q, &config);
+            let d = mw.cache().derived(q, &config);
             prop_assert!(d >= exact - 1e-9, "derived {d} < exact {exact}");
         }
         // After evaluating, derived == exact.
@@ -87,7 +87,7 @@ proptest! {
             let q = QueryId::from(q);
             let exact = mw.what_if(q, &config);
             prop_assume!(exact.is_some());
-            prop_assert!((mw.derived(q, &config) - exact.unwrap()).abs() < 1e-12);
+            prop_assert!((mw.cache().derived(q, &config) - exact.unwrap()).abs() < 1e-12);
         }
     }
 
