@@ -88,26 +88,13 @@ fn bench_derivation(c: &mut Criterion) {
             b.iter(|| black_box(mw.cache().derived(QueryId::new(0), &probe)))
         });
         group.bench_function(format!("derived-workload-{entries}-entries"), |b| {
-            b.iter(|| black_box(mw.derived_workload(&probe)))
+            b.iter(|| black_box(mw.cache().derived_workload(&probe)))
         });
         let cache = mw.cache();
         group.bench_function(format!("derived-with-extra-{entries}-entries"), |b| {
             let base = cache.derived(QueryId::new(0), &probe);
             b.iter(|| {
                 black_box(cache.derived_with_extra(QueryId::new(0), &probe, IndexId::new(21), base))
-            })
-        });
-        // The pre-postings shape: same derivation, linear scan of every
-        // multi entry instead of the inverted postings for `extra`.
-        group.bench_function(format!("derived-with-extra-scan-{entries}-entries"), |b| {
-            let base = cache.derived(QueryId::new(0), &probe);
-            b.iter(|| {
-                black_box(cache.derived_with_extra_scan(
-                    QueryId::new(0),
-                    &probe,
-                    IndexId::new(21),
-                    base,
-                ))
             })
         });
     }
@@ -137,19 +124,34 @@ fn synthetic_cache(universe: usize, queries: usize, entries: usize) -> WhatIfCac
     cache
 }
 
+/// Probe `extra` the way the metered greedy's serial loop does while
+/// budget remains: `DerivationState::probe_with` over the postings-guided
+/// `derived_with_extra`.
+fn probe_derived(state: &mut DerivationState, cache: &WhatIfCache, extra: IndexId) -> f64 {
+    state.probe_with(extra, &mut |q, cfg, x, cur| {
+        cache.derived_with_extra(q, cfg, x, cur)
+    })
+}
+
 /// One greedy step — score every candidate extension of a committed
-/// configuration — in the shape the enumerators had before this change
-/// (materialize `C ∪ {x}`, full `derived_workload` rescan) and after
-/// (allocation-free `DerivationState::probe_extend` over the postings).
+/// configuration — in the historical shape (materialize `C ∪ {x}`, full
+/// `derived_workload` rescan), through the shipped serial probe
+/// (`probe_with`, allocation-free over the postings), and through the
+/// frozen-cache kernel.
 fn bench_greedy_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("greedy-step");
     group.sample_size(10);
 
     for universe in [64usize, 256, 1024] {
         let cache = synthetic_cache(universe, 20, 200);
-        let mut state = DerivationState::workload(&cache);
+        let queries: Vec<QueryId> = (0..20usize).map(QueryId::from).collect();
+        let mut state =
+            DerivationState::for_queries(universe, queries.clone(), cache.empty_costs().to_vec());
         for i in 0..4 {
-            state.commit_recompute(&cache, IndexId::from(i * universe / 5));
+            let extra = IndexId::from(i * universe / 5);
+            let total = probe_derived(&mut state, &cache, extra);
+            state.stage_probe();
+            state.commit_staged(extra, total);
         }
         let config = state.config().clone();
 
@@ -169,7 +171,7 @@ fn bench_greedy_step(c: &mut Criterion) {
             b.iter(|| {
                 let mut best = f64::INFINITY;
                 for x in config.complement_iter() {
-                    let total = state.probe_extend(&cache, x);
+                    let total = probe_derived(&mut state, &cache, x);
                     if total < best {
                         best = total;
                     }
@@ -183,7 +185,6 @@ fn bench_greedy_step(c: &mut Criterion) {
         // out over 4 logical threads. Smaller universes stay serial in the
         // real enumerators (MIN_PARALLEL_WORK), so they are not measured.
         if universe >= 256 {
-            let queries: Vec<QueryId> = (0..20usize).map(QueryId::from).collect();
             let per_query = state.per_query().to_vec();
             let admissible: Vec<(usize, IndexId)> = config.complement_iter().enumerate().collect();
             cache.freeze();

@@ -5,8 +5,9 @@
 
 use crate::budget::MeteredWhatIf;
 use crate::derivation_state::DerivationState;
-use crate::greedy::{greedy_enumerate_metered, MeteredEval};
+use crate::greedy::{derived_greedy, greedy_enumerate_metered};
 use crate::matrix::Layout;
+use crate::parallel::FrozenEval;
 use crate::stop::StopSignal;
 use crate::tuner::{Tuner, TuningContext, TuningRequest, TuningResult};
 use crate::twophase::TwoPhaseGreedy;
@@ -59,7 +60,7 @@ impl Tuner for AutoAdminGreedy {
         // derived for everything else (the scratch set handed to the
         // evaluator is the extension `C ∪ {x}`; the non-atomic branch
         // derives incrementally off the committed per-query cost).
-        let mode = MeteredEval::Atomic(&atomic_pairs);
+        let mode = FrozenEval::Atomic(&atomic_pairs);
 
         // Phase 1 (per query) restricted to atomic what-if calls.
         let p1_t0 = obs.span_start();
@@ -78,7 +79,7 @@ impl Tuner for AutoAdminGreedy {
             // Interrupted mid-phase-1: derive-only salvage over the
             // partial union, no further budget spend.
             let t0 = obs.span_start();
-            let config = TwoPhaseGreedy::salvage(ctx, constraints, &union, &mw);
+            let config = derived_greedy(ctx, constraints, mw.cache(), &union, threads);
             if let Some(t0) = t0 {
                 obs.span_end(t0, "salvage", "autoadmin", vec![]);
             }

@@ -484,11 +484,6 @@ impl<'a> MeteredWhatIf<'a> {
         }
     }
 
-    /// Workload-level derived cost `d(W, C)`.
-    pub fn derived_workload(&self, config: &IndexSet) -> f64 {
-        self.cache.derived_workload(config)
-    }
-
     pub fn empty_cost(&self, q: QueryId) -> f64 {
         self.cache.empty_cost(q)
     }
@@ -504,7 +499,7 @@ impl<'a> MeteredWhatIf<'a> {
         if base <= 0.0 {
             return 0.0;
         }
-        (1.0 - self.derived_workload(config) / base).max(0.0)
+        (1.0 - self.cache.derived_workload(config) / base).max(0.0)
     }
 }
 

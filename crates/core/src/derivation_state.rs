@@ -11,22 +11,20 @@
 //!
 //! The protocol is *probe / stage / commit*:
 //!
-//! * [`probe_extend`](DerivationState::probe_extend) — pure derived
-//!   workload cost of `C ∪ {x}`; no mutation, no allocation.
-//! * [`probe_with`](DerivationState::probe_with) — like `probe_extend`
-//!   but each per-query value comes from a caller closure (so FCFS
-//!   enumerators can spend budget on what-if calls exactly as before);
-//!   the per-query values land in a reusable scratch buffer.
+//! * [`probe_with`](DerivationState::probe_with) — price `C ∪ {x}`
+//!   with a caller evaluator per query (the metered enumerators' evaluator
+//!   may spend budget on what-if calls); the per-query values land in a
+//!   reusable scratch buffer, with no allocation and `C` left as it was.
 //! * [`stage_probe`](DerivationState::stage_probe) — remember the last
 //!   probe's buffer as the best candidate so far (a buffer swap).
 //! * [`commit_staged`](DerivationState::commit_staged) /
-//!   [`commit_recompute`](DerivationState::commit_recompute) — adopt the
+//!   [`commit_values`](DerivationState::commit_values) — adopt the
 //!   winner. `commit_staged` is free (another swap) and is valid because
 //!   within one greedy step every cache insert is for some `C ∪ {y}`,
 //!   which is never a subset of `C ∪ {x}` for `y ≠ x` — so staged values
-//!   cannot go stale. `commit_recompute` re-derives instead, preserving
-//!   the derivation-counter behavior of callers that historically did so
-//!   (Best-Greedy extraction).
+//!   cannot go stale. `commit_values` adopts values re-priced by the
+//!   frozen-cache kernel's `winner_values`; derivation-only greedy
+//!   (`greedy::derived_greedy`) commits this way at every step.
 //!
 //! On monotone caches all of this is bit-for-bit equivalent to the full
 //! rescan: the same `f64` min over the same values, summed in the same
@@ -35,8 +33,9 @@
 //! more than a stored subset of it, `WhatIfCache::derived` returns the
 //! exact value while the carried minimum keeps the cheaper subset (see
 //! [`WhatIfCache::derived_with_extra`]).
+//!
+//! [`WhatIfCache::derived_with_extra`]: crate::derived::WhatIfCache::derived_with_extra
 
-use crate::derived::WhatIfCache;
 use ixtune_common::{IndexId, IndexSet, QueryId};
 
 /// Per-query derived costs of the current configuration, plus their sum,
@@ -77,14 +76,6 @@ impl DerivationState {
         }
     }
 
-    /// State over the whole workload at the empty configuration, priced
-    /// straight from the cache (no telemetry side effects).
-    pub fn workload(cache: &WhatIfCache) -> Self {
-        let queries: Vec<QueryId> = (0..cache.num_queries()).map(QueryId::from).collect();
-        let init: Vec<f64> = queries.iter().map(|&q| cache.empty_cost(q)).collect();
-        Self::for_queries(cache.universe(), queries, init)
-    }
-
     /// The committed configuration `C`.
     pub fn config(&self) -> &IndexSet {
         &self.config
@@ -103,17 +94,6 @@ impl DerivationState {
     /// Committed per-query costs, parallel to the query slice.
     pub fn per_query(&self) -> &[f64] {
         &self.per_query
-    }
-
-    /// Pure incremental probe: `d(W, C ∪ {extra})` from the cache, using
-    /// each query's committed cost as the derivation starting point. No
-    /// mutation, no allocation.
-    pub fn probe_extend(&self, cache: &WhatIfCache, extra: IndexId) -> f64 {
-        let mut total = 0.0;
-        for (i, &q) in self.queries.iter().enumerate() {
-            total += cache.derived_with_extra(q, &self.config, extra, self.per_query[i]);
-        }
-        total
     }
 
     /// Probe `C ∪ {extra}` with a caller-supplied per-query evaluator
@@ -169,26 +149,12 @@ impl DerivationState {
         self.per_query.copy_from_slice(values);
         self.total = total;
     }
-
-    /// Commit by re-deriving each per-query value with
-    /// [`WhatIfCache::derived_with_extra`] — same values as the probe, but
-    /// it issues the derivations again, matching enumerators that
-    /// recompute at commit time (Best-Greedy extraction).
-    pub fn commit_recompute(&mut self, cache: &WhatIfCache, extra: IndexId) {
-        let mut total = 0.0;
-        for (i, &q) in self.queries.iter().enumerate() {
-            let v = cache.derived_with_extra(q, &self.config, extra, self.per_query[i]);
-            self.per_query[i] = v;
-            total += v;
-        }
-        self.config.insert(extra);
-        self.total = total;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::derived::WhatIfCache;
 
     fn set(universe: usize, ids: &[u32]) -> IndexSet {
         IndexSet::from_ids(universe, ids.iter().copied().map(IndexId::new))
@@ -206,26 +172,44 @@ mod tests {
         c
     }
 
+    /// The whole workload at the empty configuration.
+    fn workload_state(cache: &WhatIfCache) -> DerivationState {
+        let queries: Vec<QueryId> = (0..cache.num_queries()).map(QueryId::from).collect();
+        DerivationState::for_queries(cache.universe(), queries, cache.empty_costs().to_vec())
+    }
+
+    /// Probe `extra` with pure derivation, checking that the evaluator
+    /// sees the extension `C ∪ {extra}`.
+    fn probe(state: &mut DerivationState, cache: &WhatIfCache, extra: IndexId) -> f64 {
+        state.probe_with(extra, &mut |q, cfg, x, cur| {
+            assert!(cfg.contains(x), "scratch set includes the candidate");
+            cache.derived_with_extra(q, cfg, x, cur)
+        })
+    }
+
     #[test]
     fn probe_matches_fresh_workload_derivation() {
         let cache = primed_cache();
-        let state = DerivationState::workload(&cache);
+        let mut state = workload_state(&cache);
         assert_eq!(state.total(), cache.empty_workload_cost());
         for x in 0..6 {
             let extra = IndexId::new(x);
-            let probed = state.probe_extend(&cache, extra);
+            let probed = probe(&mut state, &cache, extra);
             let fresh = cache.derived_workload(&state.config().with(extra));
             assert_eq!(probed, fresh, "extra={x}");
+            assert!(state.config().is_empty(), "probe leaves C untouched");
         }
     }
 
     #[test]
     fn commit_sequences_track_fresh_recomputation() {
         let cache = primed_cache();
-        let mut state = DerivationState::workload(&cache);
+        let mut state = workload_state(&cache);
         for x in [0u32, 3, 1] {
             let extra = IndexId::new(x);
-            state.commit_recompute(&cache, extra);
+            let total = probe(&mut state, &cache, extra);
+            state.stage_probe();
+            state.commit_staged(extra, total);
             let fresh = cache.derived_workload(state.config());
             assert_eq!(state.total(), fresh, "after committing {x}");
             for (i, &v) in state.per_query().iter().enumerate() {
@@ -238,15 +222,10 @@ mod tests {
     #[test]
     fn probe_with_stages_and_commits_without_reallocation() {
         let cache = primed_cache();
-        let mut state = DerivationState::workload(&cache);
-        let mut eval = |q: QueryId, cfg: &IndexSet, extra: IndexId, cur: f64| {
-            assert!(cfg.contains(extra), "scratch set includes the candidate");
-            cache.derived_with_extra(q, cfg, extra, cur)
-        };
-        let a = state.probe_with(IndexId::new(0), &mut eval);
+        let mut state = workload_state(&cache);
+        let a = probe(&mut state, &cache, IndexId::new(0));
         state.stage_probe();
-        let b = state.probe_with(IndexId::new(1), &mut eval);
-        assert!(state.config().is_empty(), "probe leaves C untouched");
+        let b = probe(&mut state, &cache, IndexId::new(1));
         if b < a {
             state.stage_probe();
             state.commit_staged(IndexId::new(1), b);
@@ -266,10 +245,10 @@ mod tests {
         let cache = primed_cache();
         let q = QueryId::new(1);
         let mut state = DerivationState::for_queries(6, vec![q], vec![cache.empty_cost(q)]);
-        let probed = state.probe_extend(&cache, IndexId::new(1));
+        let probed = probe(&mut state, &cache, IndexId::new(1));
         assert_eq!(probed, 120.0);
-        state.commit_recompute(&cache, IndexId::new(1));
+        state.commit_values(IndexId::new(1), &[probed], probed);
         assert_eq!(state.total(), 120.0);
-        assert_eq!(state.probe_extend(&cache, IndexId::new(4)), 90.0);
+        assert_eq!(probe(&mut state, &cache, IndexId::new(4)), 90.0);
     }
 }

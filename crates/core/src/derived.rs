@@ -479,22 +479,6 @@ impl WhatIfCache {
         best
     }
 
-    /// Derived cost restricted to singleton subsets (Eq. 2) — the variant
-    /// whose benefit function is provably submodular (Theorem 1).
-    pub fn derived_singleton(&self, q: QueryId, config: &IndexSet) -> f64 {
-        let qi = q.index();
-        self.count_derivation(qi);
-        let (shard, lq) = self.slot(qi);
-        let mut best = self.empty[qi];
-        for id in config.iter() {
-            let v = shard.singleton[lq][id.index()];
-            if !v.is_nan() && v < best {
-                best = v;
-            }
-        }
-        best
-    }
-
     /// Workload-level derived cost `d(W, C) = Σ_q d(q, C)`.
     pub fn derived_workload(&self, config: &IndexSet) -> f64 {
         (0..self.num_queries())
@@ -507,9 +491,8 @@ impl WhatIfCache {
         self.stored
     }
 
-    /// Multi-index entries for `q`, sorted by ascending cost — the raw
-    /// material for incremental derivation (see
-    /// [`Extraction`](https://docs.rs/ixtune-core)'s fast Best-Greedy path).
+    /// Multi-index entries for `q`, sorted by ascending cost — what the
+    /// frozen-cache scan kernel's entry pass walks.
     pub fn multi_entries(&self, q: QueryId) -> &[(IndexSet, f64)] {
         let (shard, lq) = self.slot(q.index());
         &shard.multi[lq]
@@ -523,10 +506,10 @@ impl WhatIfCache {
     /// ascending-cost order, so the early exit still applies; the subset
     /// test runs block-wise without materializing `set \ {extra}`.
     ///
-    /// Returns bit-for-bit the same value as the full scan
-    /// ([`derived_with_extra_scan`](Self::derived_with_extra_scan)): both
-    /// visit the qualifying entries in the same order and take the same
-    /// `min` over the same set of `f64`s. It equals a fresh
+    /// Returns bit-for-bit the same value as a linear scan of every multi
+    /// entry (the oracle in `tests/derivation_state_props.rs`): both visit
+    /// the qualifying entries in the same order and take the same `min`
+    /// over the same set of `f64`s. It equals a fresh
     /// [`derived`](Self::derived) of `C ∪ {x}` only while no exact entry
     /// costs more than a stored subset of it: `derived` returns an exact
     /// entry for `C ∪ {x}` even when a subset is cheaper, while this
@@ -708,35 +691,6 @@ impl WhatIfCache {
         cache.shards[0].derivations = AtomicUsize::new(s.derivations);
         Ok(cache)
     }
-
-    /// Reference implementation of [`derived_with_extra`](Self::derived_with_extra)
-    /// that scans every multi entry instead of the postings. Kept as the
-    /// equivalence oracle for the proptest and the before/after benchmark.
-    pub fn derived_with_extra_scan(
-        &self,
-        q: QueryId,
-        config: &IndexSet,
-        extra: IndexId,
-        current: f64,
-    ) -> f64 {
-        let qi = q.index();
-        self.count_derivation(qi);
-        let (shard, lq) = self.slot(qi);
-        let mut best = current;
-        let s = shard.singleton[lq][extra.index()];
-        if !s.is_nan() && s < best {
-            best = s;
-        }
-        for (set, cost) in &shard.multi[lq] {
-            if *cost >= best {
-                break;
-            }
-            if set.contains(extra) && set.without(extra).is_subset(config) {
-                best = *cost;
-            }
-        }
-        best
-    }
 }
 
 /// On-disk image of a [`WhatIfCache`] (see [`WhatIfCache::snapshot`]).
@@ -806,7 +760,6 @@ mod tests {
         assert_eq!(c.singleton_cost(q, IndexId::new(2)), None);
         // Supersets derive the singleton bound.
         assert_eq!(c.derived(q, &set(4, &[0, 1])), 40.0);
-        assert_eq!(c.derived_singleton(q, &set(4, &[0, 1])), 40.0);
         // Disjoint configs do not.
         assert_eq!(c.derived(q, &set(4, &[0, 2])), 100.0);
     }
@@ -824,8 +777,6 @@ mod tests {
         assert_eq!(c.derived(q, &set(4, &[0, 1, 2, 3])), 20.0);
         // Exact hit returns the exact value.
         assert_eq!(c.derived(q, &set(4, &[2, 3])), 20.0);
-        // Singleton-only derivation ignores pairs.
-        assert_eq!(c.derived_singleton(q, &set(4, &[0, 1, 2, 3])), 50.0);
     }
 
     #[test]
@@ -854,7 +805,7 @@ mod tests {
     }
 
     #[test]
-    fn with_extra_matches_scan_and_full_derivation() {
+    fn with_extra_matches_full_derivation() {
         let mut c = cache();
         let q = QueryId::new(0);
         // Out-of-cost-order inserts force postings shifts.
@@ -870,9 +821,7 @@ mod tests {
                     continue;
                 }
                 let fast = c.derived_with_extra(q, &cfg, extra, cur);
-                let slow = c.derived_with_extra_scan(q, &cfg, extra, cur);
                 let full = c.derived(q, &cfg.with(extra));
-                assert_eq!(fast, slow, "cfg={cfg:?} extra={x}");
                 assert_eq!(fast, full, "cfg={cfg:?} extra={x}");
             }
         }

@@ -3,13 +3,13 @@
 
 use crate::budget::MeteredWhatIf;
 use crate::derivation_state::DerivationState;
+use crate::derived::WhatIfCache;
 use crate::matrix::Layout;
 use crate::parallel::{frozen_argmin, winner_values, FrozenEval, MIN_PARALLEL_WORK};
 use crate::stop::{Interrupt, StopSignal};
 use crate::tuner::{Constraints, Tuner, TuningContext, TuningRequest, TuningResult};
 use ixtune_common::sync::effective_threads;
 use ixtune_common::{IndexId, IndexSet, QueryId};
-use std::collections::HashSet;
 
 /// Algorithm 1: greedily grow the configuration from `pool`, committing the
 /// extension with the lowest `cost_of` per step, stopping when no extension
@@ -17,10 +17,9 @@ use std::collections::HashSet;
 ///
 /// `cost_of` is the workload-level cost function — the caller decides
 /// whether it spends budget (FCFS), restricts calls to atomic
-/// configurations, or uses derived costs only (as in MCTS's Best-Greedy
-/// extraction). Candidates are probed through a scratch set (insert,
-/// evaluate, remove) rather than a fresh `config.with(id)` clone per
-/// candidate per step.
+/// configurations, or uses derived costs only. Candidates are probed
+/// through a scratch set (insert, evaluate, remove) rather than a fresh
+/// `config.with(id)` clone per candidate per step.
 pub fn greedy_enumerate(
     ctx: &TuningContext<'_>,
     constraints: &Constraints,
@@ -60,43 +59,64 @@ pub fn greedy_enumerate(
     config
 }
 
-/// Algorithm 1 over a [`DerivationState`]: the same candidate order,
-/// tie-breaking, and stopping rule as [`greedy_enumerate`], but each
-/// candidate is priced per query by `eval(q, C ∪ {id}, id, cost(q, C))`
-/// through [`DerivationState::probe_with`] — no full-workload rescan and no
-/// allocation in the inner loop. The best candidate's per-query buffer is
-/// staged and committed with [`DerivationState::commit_staged`].
-///
-/// The caller seeds `state` with the per-query costs of the empty
-/// configuration (through the metered client, so telemetry matches the
-/// rescan implementation) and supplies the same `eval` it would have used
-/// per `(query, configuration)` pair before.
-pub fn greedy_enumerate_incremental(
+/// Algorithm 1 over derived costs (Eq. 1), spending no budget: the greedy
+/// behind Best-Greedy extraction (§6.3) and the salvage after an
+/// interrupted phase 1. Each step freezes the cache, prices the admissible
+/// part of `pool` with [`frozen_argmin`] in `Derive` mode and commits the
+/// winner's per-query values. The kernel scans one chunk inline at
+/// `threads == 1` and returns the same first-strict-min for every thread
+/// count. It counts one derivation per `(candidate, query)` probe; the
+/// commit counts none.
+pub(crate) fn derived_greedy(
     ctx: &TuningContext<'_>,
     constraints: &Constraints,
+    cache: &WhatIfCache,
     pool: &[IndexId],
-    state: &mut DerivationState,
-    mut eval: impl FnMut(QueryId, &IndexSet, IndexId, f64) -> f64,
+    threads: usize,
 ) -> IndexSet {
+    let queries: Vec<QueryId> = (0..cache.num_queries()).map(QueryId::from).collect();
+    let init = cache.empty_costs().to_vec();
+    let mut state = DerivationState::for_queries(cache.universe(), queries, init);
     let mut remaining: Vec<IndexId> = pool.to_vec();
+    let mut admissible: Vec<(usize, IndexId)> = Vec::new();
+    let mut values: Vec<f64> = Vec::new();
 
     while !remaining.is_empty() && state.config().len() < constraints.k {
+        // No budget is spent, so the cache is read-only from here on.
+        cache.freeze();
         let filter = constraints.extension_filter(ctx, state.config());
-        let mut best: Option<(usize, f64)> = None;
-        for (pos, &id) in remaining.iter().enumerate() {
-            if !filter.admits(ctx, id) {
-                continue;
-            }
-            let cost = state.probe_with(id, &mut eval);
-            if best.is_none_or(|(_, b)| cost < b) {
-                best = Some((pos, cost));
-                state.stage_probe();
-            }
-        }
+        admissible.clear();
+        admissible.extend(
+            remaining
+                .iter()
+                .enumerate()
+                .filter(|&(_, &id)| filter.admits(ctx, id))
+                .map(|(pos, &id)| (pos, id)),
+        );
+        let (best, _) = frozen_argmin(
+            cache,
+            state.queries(),
+            state.per_query(),
+            state.config(),
+            &admissible,
+            FrozenEval::Derive,
+            threads,
+            ctx.obs(),
+        );
         match best {
-            Some((pos, cost)) if cost < state.total() => {
-                let id = remaining.swap_remove(pos);
-                state.commit_staged(id, cost);
+            Some((pos, id, total)) if total < state.total() => {
+                let repriced = winner_values(
+                    cache,
+                    state.queries(),
+                    state.per_query(),
+                    state.config(),
+                    id,
+                    FrozenEval::Derive,
+                    &mut values,
+                );
+                debug_assert_eq!(repriced.to_bits(), total.to_bits());
+                remaining.swap_remove(pos);
+                state.commit_values(id, &values, total);
             }
             _ => break,
         }
@@ -104,55 +124,12 @@ pub fn greedy_enumerate_incremental(
     state.config().clone()
 }
 
-/// How a metered greedy step prices one `(q, C ∪ {x})` cell — the two
-/// budget-aware evaluator families shared by the greedy drivers. Each
-/// variant has a matching [`FrozenEval`] replica for the post-exhaustion
-/// parallel scan.
-#[derive(Clone, Copy)]
-pub(crate) enum MeteredEval<'a> {
-    /// FCFS: what-if calls while budget lasts, incremental derivation
-    /// afterwards (`MeteredWhatIf::cost_fcfs_extend`).
-    Fcfs,
-    /// AutoAdmin's rule: atomic configurations (singletons and the listed
-    /// pairs) go through FCFS, everything else is priced by derivation.
-    Atomic(&'a HashSet<IndexSet>),
-}
-
-impl<'a> MeteredEval<'a> {
-    #[inline]
-    fn eval(
-        &self,
-        mw: &mut MeteredWhatIf<'_>,
-        q: QueryId,
-        c: &IndexSet,
-        x: IndexId,
-        cur: f64,
-    ) -> f64 {
-        match self {
-            MeteredEval::Fcfs => mw.cost_fcfs_extend(q, c, x, cur),
-            MeteredEval::Atomic(pairs) => {
-                if c.len() <= 1 || pairs.contains(c) {
-                    mw.cost_fcfs_extend(q, c, x, cur)
-                } else {
-                    mw.cache().derived_with_extra(q, c, x, cur)
-                }
-            }
-        }
-    }
-
-    fn frozen(&self) -> FrozenEval<'a> {
-        match self {
-            MeteredEval::Fcfs => FrozenEval::Fcfs,
-            MeteredEval::Atomic(pairs) => FrozenEval::Atomic(pairs),
-        }
-    }
-}
-
-/// [`greedy_enumerate_incremental`] with budget metering and batched
-/// post-exhaustion scanning: candidates are probed by the exact serial
-/// loop while budget remains, and the moment the meter is exhausted *at a
-/// candidate boundary* — whether at step start or midway through a step —
-/// the cache is frozen and the rest of the step's scan runs through
+/// Algorithm 1 over a [`DerivationState`] with budget metering and batched
+/// post-exhaustion scanning. `mode` prices each `(q, C ∪ {x})` cell (see
+/// [`FrozenEval::eval`]). Candidates are probed by the exact serial loop
+/// ([`DerivationState::probe_with`]) while budget remains, and the moment
+/// the meter is exhausted *at a candidate boundary* — whether at step
+/// start or midway through a step — the cache is frozen and the rest of the step's scan runs through
 /// [`frozen_argmin`], which is bit-identical to the serial scan by
 /// construction (values *and* hit/derivation telemetry). The candidate
 /// whose probe exhausts the budget keeps its serial FCFS semantics: the
@@ -181,7 +158,7 @@ pub(crate) fn greedy_enumerate_metered(
     pool: &[IndexId],
     state: &mut DerivationState,
     mw: &mut MeteredWhatIf<'_>,
-    mode: MeteredEval<'_>,
+    mode: FrozenEval<'_>,
     threads: usize,
     stop: &StopSignal,
 ) -> (IndexSet, Option<Interrupt>) {
@@ -229,7 +206,7 @@ pub(crate) fn greedy_enumerate_metered(
                     state.per_query(),
                     state.config(),
                     &admissible,
-                    mode.frozen(),
+                    mode,
                     threads,
                     &obs,
                 );
@@ -265,7 +242,7 @@ pub(crate) fn greedy_enumerate_metered(
                         state.per_query(),
                         state.config(),
                         id,
-                        mode.frozen(),
+                        mode,
                         &mut winner_buf,
                     );
                     debug_assert_eq!(total.to_bits(), cost.to_bits());
@@ -372,7 +349,7 @@ impl Tuner for VanillaGreedy {
             &pool,
             &mut state,
             &mut mw,
-            MeteredEval::Fcfs,
+            FrozenEval::Fcfs,
             threads,
             stop,
         );

@@ -68,7 +68,7 @@ pub use budget::{BudgetMeter, MeteredWhatIf, Phase, SessionTelemetry};
 pub use checkpoint::{MctsCheckpoint, SNAPSHOT_VERSION};
 pub use derivation_state::DerivationState;
 pub use derived::{CacheSnapshot, WhatIfCache};
-pub use greedy::{greedy_enumerate, greedy_enumerate_incremental, VanillaGreedy};
+pub use greedy::{greedy_enumerate, VanillaGreedy};
 pub use matrix::Layout;
 pub use mcts::extract::Extraction;
 pub use mcts::policy::{AmafTable, SelectionPolicy};
@@ -77,7 +77,7 @@ pub use mcts::rollout::RolloutPolicy;
 pub use mcts::tree::TreeSnapshot;
 pub use mcts::{MctsOutcome, MctsTuner, UpdatePolicy};
 pub use obs::{publish_cache_hit_ratios, Obs, METRIC_SHARDS};
-pub use parallel::{frozen_argmin, winner_values, FrozenEval, MIN_PARALLEL_WORK};
+pub use parallel::{frozen_argmin, FrozenEval, MIN_PARALLEL_WORK};
 pub use source::{CostSource, ObservedSource, SessionFaults};
 pub use stop::{Interrupt, Progress, StopReason, StopSignal};
 pub use telemetry::{TelemetryV2, TELEMETRY_VERSION};

@@ -9,11 +9,10 @@
 //! * **Hybrid**: take whichever of the two has the lower derived cost (the
 //!   mitigation discussed in the ablation appendix).
 
-use crate::derivation_state::DerivationState;
 use crate::derived::WhatIfCache;
-use crate::parallel::{frozen_argmin, FrozenEval, MIN_PARALLEL_WORK};
+use crate::greedy::derived_greedy;
 use crate::tuner::{Constraints, TuningContext};
-use ixtune_common::{IndexId, IndexSet};
+use ixtune_common::{IndexId, IndexSet, QueryId};
 use serde::{Deserialize, Serialize};
 
 /// Extraction strategy.
@@ -122,77 +121,25 @@ fn tree_walk(
     tree.node(node).config.clone()
 }
 
-/// Best-Greedy over derived costs, implemented incrementally on a
-/// [`DerivationState`]: each candidate is priced with
-/// [`DerivationState::probe_extend`] (postings-guided, no mutation, no
-/// allocation) and the winner committed with
-/// [`DerivationState::commit_recompute`] — identical results to
-/// Algorithm 1 over `d(W, C)`, but linear per step.
+/// Best-Greedy: [`derived_greedy`] over the whole candidate universe —
+/// Algorithm 1 over `d(W, C)`, spending no budget, thread-invariant to the
+/// bit.
 ///
-/// Given enough work, each step's candidate scan runs through the
-/// frozen-cache kernel ([`frozen_argmin`] in `Derive` mode) — even at
-/// `threads == 1`, where it scans one chunk inline: the query-major entry
-/// pass prices a whole candidate block per cached entry, beating one
-/// postings walk per `(candidate, query)` cell before any parallelism.
-/// The kernel prices the same probes with the same telemetry and reduces
-/// to the same first-strict-min — the commit stays serial either way.
+/// Besides the scan's probes, Best-Greedy's `telemetry.derivations` counts
+/// re-pricing every query at each commit — one derivation per query per
+/// chosen index — which `winner_values` does uncounted.
 fn best_greedy(
     ctx: &TuningContext<'_>,
     constraints: &Constraints,
     cache: &WhatIfCache,
     threads: usize,
 ) -> IndexSet {
-    let n = ctx.universe();
-    let mut state = DerivationState::workload(cache);
-    let mut remaining: Vec<IndexId> = (0..n).map(IndexId::from).collect();
-
-    while !remaining.is_empty() && state.config().len() < constraints.k {
-        let filter = constraints.extension_filter(ctx, state.config());
-        let batched = remaining.len() * state.queries().len() >= MIN_PARALLEL_WORK;
-        let best: Option<(usize, f64)> = if batched {
-            // Extraction spends no budget, so the cache is read-only for
-            // the rest of the session: latch it and fan the scan out.
-            cache.freeze();
-            let admissible: Vec<(usize, IndexId)> = remaining
-                .iter()
-                .enumerate()
-                .filter(|&(_, &id)| filter.admits(ctx, id))
-                .map(|(pos, &id)| (pos, id))
-                .collect();
-            let (found, _hits) = frozen_argmin(
-                cache,
-                state.queries(),
-                state.per_query(),
-                state.config(),
-                &admissible,
-                FrozenEval::Derive,
-                threads,
-                ctx.obs(),
-            );
-            found.map(|(pos, _, total)| (pos, total))
-        } else {
-            let mut best: Option<(usize, f64)> = None;
-            for (pos, &id) in remaining.iter().enumerate() {
-                if !filter.admits(ctx, id) {
-                    continue;
-                }
-                let total = state.probe_extend(cache, id);
-                if best.is_none_or(|(_, b)| total < b) {
-                    best = Some((pos, total));
-                }
-            }
-            best
-        };
-        match best {
-            Some((pos, total)) if total < state.total() => {
-                let id = remaining.swap_remove(pos);
-                state.commit_recompute(cache, id);
-                debug_assert_eq!(state.total(), total);
-            }
-            _ => break,
-        }
+    let pool: Vec<IndexId> = (0..ctx.universe()).map(IndexId::from).collect();
+    let config = derived_greedy(ctx, constraints, cache, &pool, threads);
+    for q in 0..cache.num_queries() {
+        cache.add_derivations(QueryId::from(q), config.len());
     }
-    state.config().clone()
+    config
 }
 
 #[cfg(test)]
@@ -201,7 +148,6 @@ mod tests {
     use crate::budget::MeteredWhatIf;
     use crate::mcts::tree::Tree;
     use ixtune_candidates::{generate_default, CandidateSet};
-    use ixtune_common::QueryId;
     use ixtune_optimizer::{CostModel, SimulatedOptimizer};
     use ixtune_workload::gen::synth;
 
@@ -259,7 +205,7 @@ mod tests {
         assert!(bg.len() <= 3);
         // With full singleton information, BG's derived cost is at most the
         // empty cost.
-        assert!(mw.derived_workload(&bg) <= mw.empty_workload_cost());
+        assert!(mw.cache().derived_workload(&bg) <= mw.empty_workload_cost());
     }
 
     #[test]
@@ -302,7 +248,7 @@ mod tests {
             Some(&tracked),
             1,
         );
-        let bce_cost = mw.derived_workload(&tracked);
+        let bce_cost = mw.cache().derived_workload(&tracked);
         let bg = Extraction::BestGreedy.extract(
             &ctx,
             &c,
@@ -311,8 +257,8 @@ mod tests {
             None,
             1,
         );
-        let bg_cost = mw.derived_workload(&bg);
-        assert!(mw.derived_workload(&h) <= bce_cost.min(bg_cost) + 1e-9);
+        let bg_cost = mw.cache().derived_workload(&bg);
+        assert!(mw.cache().derived_workload(&h) <= bce_cost.min(bg_cost) + 1e-9);
     }
 
     #[test]
@@ -340,10 +286,10 @@ mod tests {
             let c = Constraints::cardinality(4);
             let fast = best_greedy(&ctx, &c, mw.cache(), 1);
             let pool: Vec<IndexId> = (0..n).map(IndexId::from).collect();
-            let naive = greedy_enumerate(&ctx, &c, &pool, |cfg| mw.derived_workload(cfg));
+            let naive = greedy_enumerate(&ctx, &c, &pool, |cfg| mw.cache().derived_workload(cfg));
             assert_eq!(
-                mw.derived_workload(&fast),
-                mw.derived_workload(&naive),
+                mw.cache().derived_workload(&fast),
+                mw.cache().derived_workload(&naive),
                 "seed {seed}: fast BG must match Algorithm 1 over derived costs"
             );
         }

@@ -29,6 +29,7 @@
 //! `f64` summation order as the serial per-candidate loop, so sums match
 //! to the bit, not just to rounding.
 
+use crate::budget::MeteredWhatIf;
 use crate::derived::WhatIfCache;
 use crate::obs::Obs;
 use ixtune_common::sync::available_parallelism;
@@ -41,20 +42,48 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// more than it saves (e.g. two-phase's tiny per-query phase-1 scans).
 pub const MIN_PARALLEL_WORK: usize = 64;
 
-/// How a frozen-phase scan prices one `(q, C ∪ {x})` cell — each variant
-/// replicates one serial evaluator exactly, value *and* telemetry.
+/// How a greedy step prices one `(q, C ∪ {x})` cell. The metered serial
+/// loop prices through `eval`; the frozen-cache kernel replicates each
+/// variant exactly, value *and* telemetry.
 #[derive(Clone, Copy)]
 pub enum FrozenEval<'a> {
-    /// `MeteredWhatIf::cost_fcfs_extend` after exhaustion: cached exact
-    /// hit if present (a free cache hit), otherwise Eq. 1 derivation.
+    /// FCFS: a what-if call while budget lasts, then the cached exact hit
+    /// if present (a free cache hit), otherwise Eq. 1 derivation
+    /// (`MeteredWhatIf::cost_fcfs_extend`).
     Fcfs,
     /// The AutoAdmin rule: atomic configurations (singletons and the
     /// listed pairs) go through the FCFS path, everything else is priced
     /// by pure derivation without an exact-hit probe.
     Atomic(&'a HashSet<IndexSet>),
-    /// Pure incremental derivation (`DerivationState::probe_extend`) —
-    /// the Best-Greedy extraction path, which never probes for hits.
+    /// Pure incremental derivation that never probes for hits — the
+    /// derivation-only greedy (`greedy::derived_greedy`).
     Derive,
+}
+
+impl FrozenEval<'_> {
+    /// Price the cell `(q, c)` serially, where `c = C ∪ {x}` and `cur` is
+    /// `cost(q, C)`: the FCFS paths go through the metered client (and may
+    /// spend budget), the derivation paths through
+    /// [`WhatIfCache::derived_with_extra`].
+    #[inline]
+    pub(crate) fn eval(
+        &self,
+        mw: &mut MeteredWhatIf<'_>,
+        q: QueryId,
+        c: &IndexSet,
+        x: IndexId,
+        cur: f64,
+    ) -> f64 {
+        match self {
+            FrozenEval::Fcfs => mw.cost_fcfs_extend(q, c, x, cur),
+            FrozenEval::Atomic(pairs) if c.len() <= 1 || pairs.contains(c) => {
+                mw.cost_fcfs_extend(q, c, x, cur)
+            }
+            FrozenEval::Atomic(_) | FrozenEval::Derive => {
+                mw.cache().derived_with_extra(q, c, x, cur)
+            }
+        }
+    }
 }
 
 /// One chunk's scan outcome: the chunk-local `(cost, position, id)`
@@ -370,7 +399,7 @@ fn fold_per_query(per_query: &[f64]) -> f64 {
 /// in query order) and return their sum — bit-identical to the kernel's
 /// winning total. Telemetry-silent: the kernel already accounted every
 /// probe, so this uses uncounted derivation.
-pub fn winner_values(
+pub(crate) fn winner_values(
     cache: &WhatIfCache,
     queries: &[QueryId],
     per_query: &[f64],
@@ -538,6 +567,12 @@ mod tests {
                         );
                         assert_eq!(total.to_bits(), cost.to_bits());
                         assert_eq!(vals.len(), queries.len());
+                        if matches!(mode, FrozenEval::Derive) {
+                            for (i, &q) in queries.iter().enumerate() {
+                                let v = cache.derived_with_extra(q, &config, id, per_query[i]);
+                                assert_eq!(vals[i].to_bits(), v.to_bits());
+                            }
+                        }
                     }
                 }
             }

@@ -7,8 +7,9 @@
 
 use crate::budget::MeteredWhatIf;
 use crate::derivation_state::DerivationState;
-use crate::greedy::{greedy_enumerate_incremental, greedy_enumerate_metered, MeteredEval};
+use crate::greedy::{derived_greedy, greedy_enumerate_metered};
 use crate::matrix::Layout;
+use crate::parallel::FrozenEval;
 use crate::stop::{Interrupt, StopSignal};
 use crate::tuner::{Constraints, Tuner, TuningContext, TuningRequest, TuningResult};
 use ixtune_common::sync::effective_threads;
@@ -32,7 +33,7 @@ impl TwoPhaseGreedy {
         ctx: &TuningContext<'_>,
         constraints: &Constraints,
         mw: &mut MeteredWhatIf<'_>,
-        mode: MeteredEval<'_>,
+        mode: FrozenEval<'_>,
         threads: usize,
         stop: &StopSignal,
     ) -> (Vec<IndexId>, Option<Interrupt>) {
@@ -65,25 +66,6 @@ impl TwoPhaseGreedy {
         }
         (union, None)
     }
-
-    /// Budget-free salvage used when phase 1 was interrupted: greedy over
-    /// the (partial) union priced purely by cost derivation — no further
-    /// what-if calls, so the budget meter and the layout stay exactly as
-    /// interrupted.
-    pub(crate) fn salvage(
-        ctx: &TuningContext<'_>,
-        constraints: &Constraints,
-        union: &[IndexId],
-        mw: &MeteredWhatIf<'_>,
-    ) -> IndexSet {
-        let universe = ctx.universe();
-        let queries: Vec<QueryId> = (0..ctx.num_queries()).map(QueryId::from).collect();
-        let init: Vec<f64> = queries.iter().map(|&q| mw.cache().empty_cost(q)).collect();
-        let mut state = DerivationState::for_queries(universe, queries, init);
-        greedy_enumerate_incremental(ctx, constraints, union, &mut state, |q, c, x, cur| {
-            mw.cache().derived_with_extra(q, c, x, cur)
-        })
-    }
 }
 
 impl Tuner for TwoPhaseGreedy {
@@ -110,7 +92,7 @@ impl Tuner for TwoPhaseGreedy {
         // Phase 1: each query as its own workload.
         let p1_t0 = obs.span_start();
         let (union, mut interrupt) =
-            Self::phase1(ctx, constraints, &mut mw, MeteredEval::Fcfs, threads, stop);
+            Self::phase1(ctx, constraints, &mut mw, FrozenEval::Fcfs, threads, stop);
         if let Some(t0) = p1_t0 {
             obs.span_end(
                 t0,
@@ -121,10 +103,11 @@ impl Tuner for TwoPhaseGreedy {
         }
 
         let config = if interrupt.is_some() {
-            // Interrupted mid-phase-1: salvage from the partial union
-            // without spending more budget.
+            // Interrupted mid-phase-1: salvage from the partial union by
+            // derivation alone — no further what-if calls, so the budget
+            // meter and the layout stay exactly as interrupted.
             let t0 = obs.span_start();
-            let config = Self::salvage(ctx, constraints, &union, &mw);
+            let config = derived_greedy(ctx, constraints, mw.cache(), &union, threads);
             if let Some(t0) = t0 {
                 obs.span_end(t0, "salvage", "twophase", vec![]);
             }
@@ -143,7 +126,7 @@ impl Tuner for TwoPhaseGreedy {
                 &union,
                 &mut state,
                 &mut mw,
-                MeteredEval::Fcfs,
+                FrozenEval::Fcfs,
                 threads,
                 stop,
             );

@@ -2,7 +2,9 @@
 //! rescan it replaced. The enumerators were rewritten around
 //! `DerivationState` + `WhatIfCache::derived_with_extra` on the promise of
 //! *bit-for-bit* equality with fresh `derived_workload` recomputation —
-//! these tests check `==` on `f64`s, not approximate closeness.
+//! these tests check `==` on `f64`s, not approximate closeness. The
+//! linear-scan oracle for `derived_with_extra` lives here, not in the
+//! shipped cache.
 //!
 //! Caches are generated monotone (cost of a superset never exceeds the
 //! cost of a subset), matching Assumption 1 of the paper; the exact-hit
@@ -13,7 +15,7 @@
 //! cache.
 
 use ixtune_common::{IndexId, IndexSet, QueryId};
-use ixtune_core::{DerivationState, WhatIfCache};
+use ixtune_core::{frozen_argmin, DerivationState, FrozenEval, Obs, WhatIfCache};
 use proptest::prelude::*;
 
 const UNIVERSE: usize = 12;
@@ -55,6 +57,38 @@ fn primed(
     (cache, inserted)
 }
 
+/// Linear-scan oracle for `WhatIfCache::derived_with_extra`: every multi
+/// entry in ascending-cost order instead of the postings for `extra`.
+fn derived_with_extra_scan(
+    cache: &WhatIfCache,
+    q: QueryId,
+    config: &IndexSet,
+    extra: IndexId,
+    current: f64,
+) -> f64 {
+    let mut best = current;
+    if let Some(s) = cache.singleton_cost(q, extra) {
+        if s < best {
+            best = s;
+        }
+    }
+    for (set, cost) in cache.multi_entries(q) {
+        if *cost >= best {
+            break;
+        }
+        if set.contains(extra) && set.without(extra).is_subset(config) {
+            best = *cost;
+        }
+    }
+    best
+}
+
+/// The whole workload at the empty configuration.
+fn workload_state(cache: &WhatIfCache) -> DerivationState {
+    let queries: Vec<QueryId> = (0..cache.num_queries()).map(QueryId::from).collect();
+    DerivationState::for_queries(cache.universe(), queries, cache.empty_costs().to_vec())
+}
+
 /// Per-query empty costs, per-(query, index) cost factors, and a batch of
 /// (query, config) what-if results to prime the cache with.
 type CacheInputs = (Vec<f64>, Vec<Vec<f64>>, Vec<(usize, Vec<usize>)>);
@@ -89,24 +123,32 @@ proptest! {
             let q = QueryId::from(q);
             let current = cache.derived(q, &config);
             let fast = cache.derived_with_extra(q, &config, x, current);
-            let scan = cache.derived_with_extra_scan(q, &config, x, current);
+            let scan = derived_with_extra_scan(&cache, q, &config, x, current);
             let fresh = cache.derived(q, &config.with(x));
             prop_assert_eq!(fast.to_bits(), scan.to_bits());
             prop_assert_eq!(fast.to_bits(), fresh.to_bits());
         }
     }
 
-    /// Probe / stage / commit sequences over a random action list agree
-    /// exactly with fresh `derived_workload` recomputation, for both
-    /// commit flavors, and the derivation telemetry counter advances by
-    /// exactly one per (query, probe).
+    /// Probe / commit sequences over a random action list agree exactly
+    /// with fresh `derived_workload` recomputation, for both commit
+    /// flavors, and the derivation telemetry counter advances by exactly
+    /// one per (query, probe):
+    ///
+    /// * the metered greedy's serial path — `probe_with` over
+    ///   `derived_with_extra`, staged and committed for free;
+    /// * the derivation-only greedy's path — the frozen-cache kernel prices
+    ///   the probe and `commit_values` adopts the winner's per-query
+    ///   `derived_with_extra` values (the crate-private `winner_values`
+    ///   computes the same values without counting them).
     #[test]
     fn state_tracks_fresh_recomputation(
         (empties, factors, entries) in cache_inputs(),
         actions in prop::collection::vec((0..UNIVERSE, any::<bool>()), 1..8),
     ) {
         let (cache, _) = primed(&empties, &factors, &entries);
-        let mut state = DerivationState::workload(&cache);
+        cache.freeze();
+        let mut state = workload_state(&cache);
         prop_assert_eq!(state.total().to_bits(), cache.empty_workload_cost().to_bits());
 
         for (idx, staged_commit) in actions {
@@ -116,23 +158,39 @@ proptest! {
             }
 
             let before = cache.derivations();
-            let probed = state.probe_extend(&cache, x);
+            let probed = if staged_commit {
+                state.probe_with(x, &mut |q, cfg, extra, cur| {
+                    cache.derived_with_extra(q, cfg, extra, cur)
+                })
+            } else {
+                let (best, _) = frozen_argmin(
+                    &cache,
+                    state.queries(),
+                    state.per_query(),
+                    state.config(),
+                    &[(0, x)],
+                    FrozenEval::Derive,
+                    1,
+                    &Obs::disabled(),
+                );
+                best.expect("one admissible candidate").2
+            };
             prop_assert_eq!(cache.derivations(), before + QUERIES);
 
             let fresh = cache.derived_workload(&state.config().with(x));
             prop_assert_eq!(probed.to_bits(), fresh.to_bits());
 
             if staged_commit {
-                // FCFS-style path: probe via the buffer, stage, commit free.
-                let total = state.probe_with(x, &mut |q, cfg, extra, cur| {
-                    cache.derived_with_extra(q, cfg, extra, cur)
-                });
-                prop_assert_eq!(total.to_bits(), probed.to_bits());
                 state.stage_probe();
-                state.commit_staged(x, total);
+                state.commit_staged(x, probed);
             } else {
-                // Best-Greedy path: re-derive at commit time.
-                state.commit_recompute(&cache, x);
+                let values: Vec<f64> = state
+                    .queries()
+                    .iter()
+                    .zip(state.per_query())
+                    .map(|(&q, &cur)| cache.derived_with_extra(q, state.config(), x, cur))
+                    .collect();
+                state.commit_values(x, &values, probed);
             }
 
             prop_assert_eq!(

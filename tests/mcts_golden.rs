@@ -1,10 +1,18 @@
-//! Golden MCTS sessions: every pinned value below was produced by the
-//! episode loop that re-derived each query's cost from scratch at the leaf
-//! (`WhatIfCache::derived` per query per episode). The loop now carries
-//! per-query costs down the selection path instead; these sessions must
-//! still reproduce the old results bit for bit — configuration, budget
-//! use, oracle improvement, the call layout, and the derivation and
-//! cache-hit counters.
+//! Golden tuning sessions. Every pinned value below was captured on an
+//! earlier implementation of the same algorithms and must be reproduced bit
+//! for bit — configuration, budget use, oracle improvement, the call
+//! layout, the derivation and cache-hit counters, and the stop reason.
+//!
+//! * The MCTS rows predate carrying per-query costs down the selection
+//!   path; they were produced by an episode loop that re-derived each
+//!   query's cost from scratch at the leaf (`WhatIfCache::derived` per
+//!   query per episode).
+//! * The greedy rows (vanilla, two-phase, AutoAdmin) predate the single
+//!   derivation-only greedy: Best-Greedy extraction and the salvage after
+//!   an interrupted phase 1 each ran their own probe/commit loop. The
+//!   cancelled two-phase and AutoAdmin rows stop mid-phase-1 and salvage a
+//!   configuration from the partial union; the cancelled vanilla row stops
+//!   between greedy steps.
 //!
 //! The values hold for the compiled and the interpreted what-if kernel
 //! alike (`IXTUNE_COMPILED=0`).
@@ -23,41 +31,107 @@ struct Golden {
     fingerprint: u64,
     derivations: usize,
     cache_hits: usize,
+    stop_reason: StopReason,
 }
 
-/// The tuner variants, in the order of every dataset's golden rows. The
-/// last variant runs on a non-monotone cost model (`quirk_eps = 0.2`).
-fn variants() -> Vec<(&'static str, MctsTuner, bool)> {
+/// One pinned session: a tuner run under a stop signal, on the plain or
+/// the non-monotone cost model (`quirk_eps = 0.2`), at the request's
+/// session threads or a pinned count.
+struct Session {
+    name: &'static str,
+    tuner: Box<dyn Tuner>,
+    stop: StopSignal,
+    quirk: bool,
+    threads: Option<usize>,
+}
+
+impl Session {
+    fn new(name: &'static str, tuner: impl Tuner + 'static) -> Self {
+        Self {
+            name,
+            tuner: Box::new(tuner),
+            stop: StopSignal::never(),
+            quirk: false,
+            threads: None,
+        }
+    }
+
+    fn quirk(mut self) -> Self {
+        self.quirk = true;
+        self
+    }
+
+    fn threads(mut self, threads: usize) -> Self {
+        self.threads = Some(threads);
+        self
+    }
+
+    fn cancel_after(mut self, calls: usize) -> Self {
+        self.stop = StopSignal::armed().cancel_after_calls(calls);
+        self
+    }
+}
+
+/// The MCTS variants, in the order of every dataset's MCTS golden rows.
+fn mcts_sessions() -> Vec<Session> {
     vec![
-        ("default", MctsTuner::default(), false),
-        (
+        Session::new("default", MctsTuner::default()),
+        Session::new(
             "uct-random-bce",
             MctsTuner::default()
                 .with_selection(SelectionPolicy::uct())
                 .with_rollout(RolloutPolicy::RandomStep)
                 .with_extraction(Extraction::Bce),
-            false,
         ),
-        (
+        Session::new(
             "rave-50",
             MctsTuner::default().with_update(UpdatePolicy::Rave { k: 50.0 }),
-            false,
         ),
-        (
+        Session::new(
             "boltzmann",
             MctsTuner::default().with_selection(SelectionPolicy::Boltzmann { tau: 0.1 }),
-            false,
         ),
-        (
-            "root-workers-4",
-            MctsTuner::default().with_root_workers(4),
-            false,
-        ),
-        ("default-quirk", MctsTuner::default(), true),
+        Session::new("root-workers-4", MctsTuner::default().with_root_workers(4)),
+        Session::new("default-quirk", MctsTuner::default()).quirk(),
     ]
 }
 
-fn check(label: &str, inst: BenchmarkInstance, req: TuningRequest, golden: &[Golden]) {
+/// The greedy sessions, in the order of every dataset's greedy golden
+/// rows: each enumerator uninterrupted and cancelled (two-phase and
+/// AutoAdmin mid-phase-1, after 3 or 17 calls or at half the budget), on
+/// both cost models and at 1 and 4 session threads.
+fn greedy_sessions(budget: usize) -> Vec<Session> {
+    vec![
+        Session::new("vanilla", VanillaGreedy).threads(1),
+        Session::new("vanilla-cancel-17", VanillaGreedy)
+            .cancel_after(17)
+            .quirk()
+            .threads(4),
+        Session::new("two-phase", TwoPhaseGreedy).quirk().threads(4),
+        Session::new("two-phase-cancel-17", TwoPhaseGreedy)
+            .cancel_after(17)
+            .threads(1),
+        Session::new("two-phase-cancel-half", TwoPhaseGreedy)
+            .cancel_after(budget / 2)
+            .threads(4),
+        Session::new("autoadmin", AutoAdminGreedy::default()).threads(4),
+        Session::new("autoadmin-cancel-17", AutoAdminGreedy::default())
+            .cancel_after(17)
+            .quirk()
+            .threads(1),
+        Session::new("autoadmin-cancel-3", AutoAdminGreedy::default())
+            .cancel_after(3)
+            .threads(4),
+    ]
+}
+
+fn check(
+    label: &str,
+    inst: BenchmarkInstance,
+    req: TuningRequest,
+    sessions: Vec<Session>,
+    golden: &[Golden],
+) {
     let cands: CandidateSet = generate_default(&inst);
     let plain = SimulatedOptimizer::new(inst.clone(), cands.indexes.clone(), CostModel::default());
     let quirky = SimulatedOptimizer::new(
@@ -68,32 +142,39 @@ fn check(label: &str, inst: BenchmarkInstance, req: TuningRequest, golden: &[Gol
             ..CostModel::default()
         },
     );
-    let variants = variants();
-    assert_eq!(variants.len(), golden.len(), "{label}: one row per variant");
-    for ((name, tuner, quirk), want) in variants.into_iter().zip(golden) {
-        let opt = if quirk { &quirky } else { &plain };
+    assert_eq!(sessions.len(), golden.len(), "{label}: one row per session");
+    for (s, want) in sessions.into_iter().zip(golden) {
+        let opt = if s.quirk { &quirky } else { &plain };
         let ctx = TuningContext::new(opt, &cands);
-        let r = tuner.tune(&ctx, &req);
+        let req = match s.threads {
+            Some(t) => req.with_session_threads(t),
+            None => req,
+        };
+        let r = s.tuner.tune_with_stop(&ctx, &req, &s.stop);
         let config: Vec<u32> = r.config.iter().map(|i| i.0).collect();
         let got = format!(
             "config: &{:?}, calls_used: {}, improvement_bits: {:#018x}, \
-             fingerprint: {:#018x}, derivations: {}, cache_hits: {}",
+             fingerprint: {:#018x}, derivations: {}, cache_hits: {}, \
+             stop_reason: {:?}",
             config,
             r.calls_used,
             r.improvement.to_bits(),
             r.layout.fingerprint(),
             r.telemetry.derivations,
             r.telemetry.cache_hits,
+            r.stop_reason,
         );
         let ok = config == want.config
             && r.calls_used == want.calls_used
             && r.improvement.to_bits() == want.improvement_bits
             && r.layout.fingerprint() == want.fingerprint
             && r.telemetry.derivations == want.derivations
-            && r.telemetry.cache_hits == want.cache_hits;
+            && r.telemetry.cache_hits == want.cache_hits
+            && r.stop_reason == Some(want.stop_reason);
         assert!(
             ok,
-            "{label}/{name} drifted from its golden row; got {{ {got} }}"
+            "{label}/{} drifted from its golden row; got {{ {got} }}",
+            s.name
         );
     }
 }
@@ -104,6 +185,7 @@ fn tpch_sessions_match_golden() {
         "tpch",
         tpch::generate(1.0),
         TuningRequest::cardinality(5, 200).with_seed(1),
+        mcts_sessions(),
         &[
             Golden {
                 config: &[0, 66, 111, 132, 143],
@@ -112,6 +194,7 @@ fn tpch_sessions_match_golden() {
                 fingerprint: 0x3ccf496db656b2d3,
                 derivations: 36247,
                 cache_hits: 0,
+                stop_reason: StopReason::BudgetExhausted,
             },
             Golden {
                 config: &[69, 128, 155, 178, 246],
@@ -120,6 +203,7 @@ fn tpch_sessions_match_golden() {
                 fingerprint: 0x126a4f3a772ba182,
                 derivations: 4400,
                 cache_hits: 0,
+                stop_reason: StopReason::BudgetExhausted,
             },
             Golden {
                 config: &[0, 66, 111, 132, 143],
@@ -128,6 +212,7 @@ fn tpch_sessions_match_golden() {
                 fingerprint: 0xb6b93c561ddd472f,
                 derivations: 36287,
                 cache_hits: 2,
+                stop_reason: StopReason::BudgetExhausted,
             },
             Golden {
                 config: &[0, 66, 132, 143, 178],
@@ -136,6 +221,7 @@ fn tpch_sessions_match_golden() {
                 fingerprint: 0x008b9d0ac36a3a14,
                 derivations: 36312,
                 cache_hits: 2,
+                stop_reason: StopReason::BudgetExhausted,
             },
             Golden {
                 config: &[2, 68, 132, 143, 181],
@@ -144,6 +230,7 @@ fn tpch_sessions_match_golden() {
                 fingerprint: 0x156ec6b5cf127322,
                 derivations: 36245,
                 cache_hits: 3,
+                stop_reason: StopReason::BudgetExhausted,
             },
             Golden {
                 config: &[4, 66, 68, 132, 143],
@@ -152,6 +239,7 @@ fn tpch_sessions_match_golden() {
                 fingerprint: 0x6341db3f2ab2a453,
                 derivations: 36266,
                 cache_hits: 1,
+                stop_reason: StopReason::BudgetExhausted,
             },
         ],
     );
@@ -163,6 +251,7 @@ fn synth_seed_3_sessions_match_golden() {
         "synth-3",
         synth::instance(3),
         TuningRequest::cardinality(3, 80).with_seed(7),
+        mcts_sessions(),
         &[
             Golden {
                 config: &[10, 15, 28],
@@ -171,6 +260,7 @@ fn synth_seed_3_sessions_match_golden() {
                 fingerprint: 0xff27439b0f273cb3,
                 derivations: 929,
                 cache_hits: 3,
+                stop_reason: StopReason::BudgetExhausted,
             },
             Golden {
                 config: &[6, 18, 28],
@@ -179,6 +269,7 @@ fn synth_seed_3_sessions_match_golden() {
                 fingerprint: 0xa6f927b5114dc2e7,
                 derivations: 485,
                 cache_hits: 1,
+                stop_reason: StopReason::BudgetExhausted,
             },
             Golden {
                 config: &[10, 15, 28],
@@ -187,6 +278,7 @@ fn synth_seed_3_sessions_match_golden() {
                 fingerprint: 0xd19daa729720e420,
                 derivations: 953,
                 cache_hits: 8,
+                stop_reason: StopReason::BudgetExhausted,
             },
             Golden {
                 config: &[10, 15, 28],
@@ -195,6 +287,7 @@ fn synth_seed_3_sessions_match_golden() {
                 fingerprint: 0x158940cdb76c8a8d,
                 derivations: 996,
                 cache_hits: 110,
+                stop_reason: StopReason::BudgetExhausted,
             },
             Golden {
                 config: &[15, 28, 31],
@@ -203,6 +296,7 @@ fn synth_seed_3_sessions_match_golden() {
                 fingerprint: 0x4f7c078042fda5a8,
                 derivations: 969,
                 cache_hits: 13,
+                stop_reason: StopReason::BudgetExhausted,
             },
             Golden {
                 config: &[10, 15, 28],
@@ -211,6 +305,7 @@ fn synth_seed_3_sessions_match_golden() {
                 fingerprint: 0xff27439b0f273cb3,
                 derivations: 929,
                 cache_hits: 3,
+                stop_reason: StopReason::BudgetExhausted,
             },
         ],
     );
@@ -222,6 +317,7 @@ fn synth_seed_8_sessions_match_golden() {
         "synth-8",
         synth::instance(8),
         TuningRequest::cardinality(4, 120).with_seed(5),
+        mcts_sessions(),
         &[
             Golden {
                 config: &[2, 3, 8, 11],
@@ -230,6 +326,7 @@ fn synth_seed_8_sessions_match_golden() {
                 fingerprint: 0x44a28c5f17ae5170,
                 derivations: 1244,
                 cache_hits: 4,
+                stop_reason: StopReason::BudgetExhausted,
             },
             Golden {
                 config: &[3, 14, 22, 30],
@@ -238,6 +335,7 @@ fn synth_seed_8_sessions_match_golden() {
                 fingerprint: 0x3b81487433295938,
                 derivations: 719,
                 cache_hits: 0,
+                stop_reason: StopReason::BudgetExhausted,
             },
             Golden {
                 config: &[2, 8, 11, 29],
@@ -246,6 +344,7 @@ fn synth_seed_8_sessions_match_golden() {
                 fingerprint: 0xee2ce3ce751a000b,
                 derivations: 1241,
                 cache_hits: 4,
+                stop_reason: StopReason::BudgetExhausted,
             },
             Golden {
                 config: &[2, 3, 8, 11],
@@ -254,6 +353,7 @@ fn synth_seed_8_sessions_match_golden() {
                 fingerprint: 0xac4dbe76b1c96d5a,
                 derivations: 1362,
                 cache_hits: 67,
+                stop_reason: StopReason::BudgetExhausted,
             },
             Golden {
                 config: &[3, 8, 11, 12],
@@ -262,6 +362,7 @@ fn synth_seed_8_sessions_match_golden() {
                 fingerprint: 0xa8388fbc9766a601,
                 derivations: 1224,
                 cache_hits: 4,
+                stop_reason: StopReason::BudgetExhausted,
             },
             Golden {
                 config: &[2, 3, 8, 11],
@@ -270,6 +371,259 @@ fn synth_seed_8_sessions_match_golden() {
                 fingerprint: 0xa8837120ca664d07,
                 derivations: 1244,
                 cache_hits: 4,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+        ],
+    );
+}
+
+#[test]
+fn tpch_greedy_sessions_match_golden() {
+    check(
+        "tpch",
+        tpch::generate(1.0),
+        TuningRequest::cardinality(5, 200).with_seed(1),
+        greedy_sessions(200),
+        &[
+            Golden {
+                config: &[0, 1, 3, 9],
+                calls_used: 200,
+                improvement_bits: 0x3fc1c572002ffc84,
+                fingerprint: 0x1bdfc09244211a11,
+                derivations: 33790,
+                cache_hits: 22,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[1],
+                calls_used: 200,
+                improvement_bits: 0x3fc14e0dc3c0d098,
+                fingerprint: 0x1bdfc09244211a11,
+                derivations: 6642,
+                cache_hits: 22,
+                stop_reason: StopReason::Cancelled,
+            },
+            Golden {
+                config: &[1, 9, 26, 53, 67],
+                calls_used: 200,
+                improvement_bits: 0x3fd5a2ab3a66a708,
+                fingerprint: 0xdfb84b2890c0dd8c,
+                derivations: 873,
+                cache_hits: 50,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[1, 26],
+                calls_used: 54,
+                improvement_bits: 0x3fc2ca6412232ffc,
+                fingerprint: 0x03c0da04734ddd49,
+                derivations: 66,
+                cache_hits: 2,
+                stop_reason: StopReason::Cancelled,
+            },
+            Golden {
+                config: &[1, 9, 15, 26],
+                calls_used: 129,
+                improvement_bits: 0x3fc355e769faadd4,
+                fingerprint: 0x460040c6c5f41457,
+                derivations: 220,
+                cache_hits: 2,
+                stop_reason: StopReason::Cancelled,
+            },
+            Golden {
+                config: &[67, 79, 94, 103, 132],
+                calls_used: 200,
+                improvement_bits: 0x3fd4a535f87ac718,
+                fingerprint: 0x4e5a2ab36d4ec77b,
+                derivations: 1671,
+                cache_hits: 56,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[1, 26],
+                calls_used: 47,
+                improvement_bits: 0x3fc2e6a209b14b0c,
+                fingerprint: 0x404a1cc3ccc635f4,
+                derivations: 73,
+                cache_hits: 2,
+                stop_reason: StopReason::Cancelled,
+            },
+            Golden {
+                config: &[1],
+                calls_used: 8,
+                improvement_bits: 0x3fc13b4df1f4e338,
+                fingerprint: 0x8f4852bc8d623205,
+                derivations: 22,
+                cache_hits: 1,
+                stop_reason: StopReason::Cancelled,
+            },
+        ],
+    );
+}
+
+#[test]
+fn synth_seed_3_greedy_sessions_match_golden() {
+    check(
+        "synth-3",
+        synth::instance(3),
+        TuningRequest::cardinality(3, 80).with_seed(7),
+        greedy_sessions(80),
+        &[
+            Golden {
+                config: &[3, 11],
+                calls_used: 80,
+                improvement_bits: 0x3f815383072270c0,
+                fingerprint: 0x5891a6a1d315eda9,
+                derivations: 586,
+                cache_hits: 6,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[11],
+                calls_used: 80,
+                improvement_bits: 0x3f7cd67a459c5580,
+                fingerprint: 0x5891a6a1d315eda9,
+                derivations: 148,
+                cache_hits: 6,
+                stop_reason: StopReason::Cancelled,
+            },
+            Golden {
+                config: &[15, 22, 28],
+                calls_used: 80,
+                improvement_bits: 0x3fee80a0bcfaed78,
+                fingerprint: 0x8ebfe865db9c27c5,
+                derivations: 173,
+                cache_hits: 23,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[1, 3, 13],
+                calls_used: 20,
+                improvement_bits: 0x3f78d8c8e1129800,
+                fingerprint: 0xaa8e9f797c5c024e,
+                derivations: 54,
+                cache_hits: 3,
+                stop_reason: StopReason::Cancelled,
+            },
+            Golden {
+                config: &[11, 13, 15],
+                calls_used: 46,
+                improvement_bits: 0x3fd3128e823835e6,
+                fingerprint: 0xb845f81291f0c93f,
+                derivations: 108,
+                cache_hits: 4,
+                stop_reason: StopReason::Cancelled,
+            },
+            Golden {
+                config: &[15, 28, 29],
+                calls_used: 80,
+                improvement_bits: 0x3fee81e97d2d2cfe,
+                fingerprint: 0x154d8e3bde1ae561,
+                derivations: 158,
+                cache_hits: 24,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[3, 11, 13],
+                calls_used: 21,
+                improvement_bits: 0x3f89036dea5b85c0,
+                fingerprint: 0x79cda881eb1ff02b,
+                derivations: 63,
+                cache_hits: 3,
+                stop_reason: StopReason::Cancelled,
+            },
+            Golden {
+                config: &[3],
+                calls_used: 4,
+                improvement_bits: 0x3f57a8bfe1de9a00,
+                fingerprint: 0xce6f2a0ff99c73c9,
+                derivations: 6,
+                cache_hits: 1,
+                stop_reason: StopReason::Cancelled,
+            },
+        ],
+    );
+}
+
+#[test]
+fn synth_seed_8_greedy_sessions_match_golden() {
+    check(
+        "synth-8",
+        synth::instance(8),
+        TuningRequest::cardinality(4, 120).with_seed(5),
+        greedy_sessions(120),
+        &[
+            Golden {
+                config: &[1, 8, 11, 13],
+                calls_used: 120,
+                improvement_bits: 0x3fe9de33215b3bf5,
+                fingerprint: 0x858cde947ba13c25,
+                derivations: 588,
+                cache_hits: 6,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[1],
+                calls_used: 120,
+                improvement_bits: 0x3fe844cb91fac9d3,
+                fingerprint: 0x858cde947ba13c25,
+                derivations: 66,
+                cache_hits: 6,
+                stop_reason: StopReason::Cancelled,
+            },
+            Golden {
+                config: &[1, 8, 12, 13],
+                calls_used: 120,
+                improvement_bits: 0x3fea0449f019551e,
+                fingerprint: 0xacf39d276343d7d9,
+                derivations: 212,
+                cache_hits: 24,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[1, 8, 11],
+                calls_used: 19,
+                improvement_bits: 0x3fe99049d5091009,
+                fingerprint: 0x8e15792a29a59d1c,
+                derivations: 36,
+                cache_hits: 3,
+                stop_reason: StopReason::Cancelled,
+            },
+            Golden {
+                config: &[1, 8, 11, 20],
+                calls_used: 61,
+                improvement_bits: 0x3fe992b583f27893,
+                fingerprint: 0x95cf64914e26e2fe,
+                derivations: 180,
+                cache_hits: 5,
+                stop_reason: StopReason::Cancelled,
+            },
+            Golden {
+                config: &[1, 8, 12, 13],
+                calls_used: 85,
+                improvement_bits: 0x3fe9f82b90214a99,
+                fingerprint: 0x43dcf7e20f96fe4c,
+                derivations: 155,
+                cache_hits: 21,
+                stop_reason: StopReason::Completed,
+            },
+            Golden {
+                config: &[1, 8, 10, 11],
+                calls_used: 17,
+                improvement_bits: 0x3fea0449a74eafc2,
+                fingerprint: 0x9f4131a02659f734,
+                derivations: 92,
+                cache_hits: 4,
+                stop_reason: StopReason::Cancelled,
+            },
+            Golden {
+                config: &[1],
+                calls_used: 7,
+                improvement_bits: 0x3fe83e0e16733a92,
+                fingerprint: 0x61a1ccb5fd9a0cf5,
+                derivations: 6,
+                cache_hits: 1,
+                stop_reason: StopReason::Cancelled,
             },
         ],
     );
