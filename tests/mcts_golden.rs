@@ -6,7 +6,13 @@
 //! * The MCTS rows predate carrying per-query costs down the selection
 //!   path; they were produced by an episode loop that re-derived each
 //!   query's cost from scratch at the leaf (`WhatIfCache::derived` per
-//!   query per episode).
+//!   query per episode). The last six MCTS variants of every dataset
+//!   (classic ε-greedy, UCT with RAVE, Boltzmann with RAVE, prior-weighted
+//!   fixed-step-2 and random-step rollouts, and the default tuner under a
+//!   storage limit) predate the block-wise action sampler: they were
+//!   produced by a selection policy that collected each node's admissible
+//!   actions into a vector and built per-pick value and visit-count
+//!   vectors over it.
 //! * The greedy rows (vanilla, two-phase, AutoAdmin) predate the single
 //!   derivation-only greedy: Best-Greedy extraction and the salvage after
 //!   an interrupted phase 1 each ran their own probe/commit loop. The
@@ -35,14 +41,15 @@ struct Golden {
 }
 
 /// One pinned session: a tuner run under a stop signal, on the plain or
-/// the non-monotone cost model (`quirk_eps = 0.2`), at the request's
-/// session threads or a pinned count.
+/// the non-monotone cost model (`quirk_eps = 0.2`), with the dataset's
+/// request as is or rewritten by a per-session override (pinned session
+/// threads, a storage limit).
 struct Session {
     name: &'static str,
     tuner: Box<dyn Tuner>,
     stop: StopSignal,
     quirk: bool,
-    threads: Option<usize>,
+    request: Box<dyn Fn(TuningRequest) -> TuningRequest>,
 }
 
 impl Session {
@@ -52,7 +59,7 @@ impl Session {
             tuner: Box::new(tuner),
             stop: StopSignal::never(),
             quirk: false,
-            threads: None,
+            request: Box::new(|req| req),
         }
     }
 
@@ -61,9 +68,13 @@ impl Session {
         self
     }
 
-    fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+    fn request(mut self, rewrite: impl Fn(TuningRequest) -> TuningRequest + 'static) -> Self {
+        self.request = Box::new(rewrite);
         self
+    }
+
+    fn threads(self, threads: usize) -> Self {
+        self.request(move |req| req.with_session_threads(threads))
     }
 
     fn cancel_after(mut self, calls: usize) -> Self {
@@ -73,7 +84,10 @@ impl Session {
 }
 
 /// The MCTS variants, in the order of every dataset's MCTS golden rows.
-fn mcts_sessions() -> Vec<Session> {
+/// The last one runs the default tuner under a storage limit of
+/// `storage_bytes`, chosen per dataset to admit some candidates but not
+/// all.
+fn mcts_sessions(storage_bytes: u64) -> Vec<Session> {
     vec![
         Session::new("default", MctsTuner::default()),
         Session::new(
@@ -93,6 +107,32 @@ fn mcts_sessions() -> Vec<Session> {
         ),
         Session::new("root-workers-4", MctsTuner::default().with_root_workers(4)),
         Session::new("default-quirk", MctsTuner::default()).quirk(),
+        Session::new(
+            "classic-eps-0.2",
+            MctsTuner::default().with_selection(SelectionPolicy::ClassicEpsilon { epsilon: 0.2 }),
+        ),
+        Session::new(
+            "uct-rave-20",
+            MctsTuner::default()
+                .with_selection(SelectionPolicy::uct())
+                .with_update(UpdatePolicy::Rave { k: 20.0 }),
+        ),
+        Session::new(
+            "boltzmann-rave-50",
+            MctsTuner::default()
+                .with_selection(SelectionPolicy::Boltzmann { tau: 0.1 })
+                .with_update(UpdatePolicy::Rave { k: 50.0 }),
+        ),
+        Session::new(
+            "prior-fixed-step-2",
+            MctsTuner::default().with_rollout(RolloutPolicy::FixedStep(2)),
+        ),
+        Session::new(
+            "prior-random-step",
+            MctsTuner::default().with_rollout(RolloutPolicy::RandomStep),
+        ),
+        Session::new("default-storage", MctsTuner::default())
+            .request(move |req| req.with_storage(storage_bytes)),
     ]
 }
 
@@ -146,10 +186,7 @@ fn check(
     for (s, want) in sessions.into_iter().zip(golden) {
         let opt = if s.quirk { &quirky } else { &plain };
         let ctx = TuningContext::new(opt, &cands);
-        let req = match s.threads {
-            Some(t) => req.with_session_threads(t),
-            None => req,
-        };
+        let req = (s.request)(req);
         let r = s.tuner.tune_with_stop(&ctx, &req, &s.stop);
         let config: Vec<u32> = r.config.iter().map(|i| i.0).collect();
         let got = format!(
@@ -185,7 +222,7 @@ fn tpch_sessions_match_golden() {
         "tpch",
         tpch::generate(1.0),
         TuningRequest::cardinality(5, 200).with_seed(1),
-        mcts_sessions(),
+        mcts_sessions(100_000_000),
         &[
             Golden {
                 config: &[0, 66, 111, 132, 143],
@@ -241,6 +278,60 @@ fn tpch_sessions_match_golden() {
                 cache_hits: 1,
                 stop_reason: StopReason::BudgetExhausted,
             },
+            Golden {
+                config: &[0, 66, 132, 143, 178],
+                calls_used: 200,
+                improvement_bits: 0x3fda5af532890f2a,
+                fingerprint: 0xab3b42baf37a5567,
+                derivations: 36512,
+                cache_hits: 34,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[115, 116, 134, 150, 184],
+                calls_used: 200,
+                improvement_bits: 0x3fde5af14b5137b8,
+                fingerprint: 0x9c24a2e2f3bc6ed2,
+                derivations: 38500,
+                cache_hits: 0,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[66, 132, 143, 178, 201],
+                calls_used: 200,
+                improvement_bits: 0x3fdaf30d6496cf88,
+                fingerprint: 0xd27fa149924ca6e9,
+                derivations: 36306,
+                cache_hits: 2,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[0, 66, 132, 143, 178],
+                calls_used: 200,
+                improvement_bits: 0x3fda5af532890f2a,
+                fingerprint: 0x0915b5cad629c2de,
+                derivations: 36300,
+                cache_hits: 0,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[0, 66, 132, 143, 178],
+                calls_used: 200,
+                improvement_bits: 0x3fda5af532890f2a,
+                fingerprint: 0xa556fab81530001f,
+                derivations: 36294,
+                cache_hits: 0,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[29, 49, 233],
+                calls_used: 200,
+                improvement_bits: 0x3fb3868db074ef70,
+                fingerprint: 0xf025524c2343585a,
+                derivations: 13709,
+                cache_hits: 2,
+                stop_reason: StopReason::BudgetExhausted,
+            },
         ],
     );
 }
@@ -251,7 +342,7 @@ fn synth_seed_3_sessions_match_golden() {
         "synth-3",
         synth::instance(3),
         TuningRequest::cardinality(3, 80).with_seed(7),
-        mcts_sessions(),
+        mcts_sessions(3_100_000),
         &[
             Golden {
                 config: &[10, 15, 28],
@@ -307,6 +398,60 @@ fn synth_seed_3_sessions_match_golden() {
                 cache_hits: 3,
                 stop_reason: StopReason::BudgetExhausted,
             },
+            Golden {
+                config: &[10, 15, 28],
+                calls_used: 80,
+                improvement_bits: 0x3fe7588cf383eee1,
+                fingerprint: 0x41471f8c91539899,
+                derivations: 975,
+                cache_hits: 24,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[18, 28],
+                calls_used: 80,
+                improvement_bits: 0x3fe72a0da34eee5d,
+                fingerprint: 0xcaac92d31a5f18ae,
+                derivations: 1162,
+                cache_hits: 1,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[10, 15, 28],
+                calls_used: 80,
+                improvement_bits: 0x3fe7588cf383eee1,
+                fingerprint: 0x32f454ba3c96bbc6,
+                derivations: 971,
+                cache_hits: 17,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[15, 24, 28],
+                calls_used: 80,
+                improvement_bits: 0x3fee81e97d2d2cfe,
+                fingerprint: 0x1ba0800843bb94dd,
+                derivations: 929,
+                cache_hits: 1,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[15, 28, 31],
+                calls_used: 80,
+                improvement_bits: 0x3fee81e797adf487,
+                fingerprint: 0x829317f5296032c0,
+                derivations: 932,
+                cache_hits: 2,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[10, 20, 27],
+                calls_used: 80,
+                improvement_bits: 0x3fd8d4d794301fb8,
+                fingerprint: 0x1408bd8723920136,
+                derivations: 981,
+                cache_hits: 71,
+                stop_reason: StopReason::BudgetExhausted,
+            },
         ],
     );
 }
@@ -317,7 +462,7 @@ fn synth_seed_8_sessions_match_golden() {
         "synth-8",
         synth::instance(8),
         TuningRequest::cardinality(4, 120).with_seed(5),
-        mcts_sessions(),
+        mcts_sessions(1_000_000),
         &[
             Golden {
                 config: &[2, 3, 8, 11],
@@ -371,6 +516,60 @@ fn synth_seed_8_sessions_match_golden() {
                 fingerprint: 0xa8837120ca664d07,
                 derivations: 1244,
                 cache_hits: 4,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[2, 8, 11, 25],
+                calls_used: 120,
+                improvement_bits: 0x3fe9ff4f205ce9d3,
+                fingerprint: 0x8015fbca78ae294e,
+                derivations: 1270,
+                cache_hits: 32,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[1, 8, 20, 29],
+                calls_used: 120,
+                improvement_bits: 0x3fe910db5a142f5f,
+                fingerprint: 0x471e0a904fe9f4d4,
+                derivations: 1457,
+                cache_hits: 3,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[2, 8, 11, 29],
+                calls_used: 120,
+                improvement_bits: 0x3fe98dddf618810a,
+                fingerprint: 0x33bf5b084d5d6a2d,
+                derivations: 1247,
+                cache_hits: 7,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[2, 8, 11, 29],
+                calls_used: 120,
+                improvement_bits: 0x3fe98dddf618810a,
+                fingerprint: 0xa477bcd87acc10a1,
+                derivations: 1246,
+                cache_hits: 0,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[2, 8, 11, 29],
+                calls_used: 120,
+                improvement_bits: 0x3fe98dddf618810a,
+                fingerprint: 0x70034d9f0a6cd6fb,
+                derivations: 1248,
+                cache_hits: 1,
+                stop_reason: StopReason::BudgetExhausted,
+            },
+            Golden {
+                config: &[8, 13, 24, 26],
+                calls_used: 120,
+                improvement_bits: 0x3fb47c84a04343d0,
+                fingerprint: 0x3278ee5d48bcdca6,
+                derivations: 845,
+                cache_hits: 5,
                 stop_reason: StopReason::BudgetExhausted,
             },
         ],
