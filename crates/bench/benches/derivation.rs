@@ -6,9 +6,9 @@ use ixtune_bench::Session;
 use ixtune_common::rng::seeded;
 use ixtune_common::{IndexId, IndexSet, QueryId};
 use ixtune_core::{
-    frozen_argmin, Constraints, DerivationState, FrozenEval, MctsTuner, MeteredWhatIf,
-    RolloutPolicy, SelectionPolicy, Tuner, TuningContext, VanillaGreedy, WarmSnapshot, WarmState,
-    WarmStore, WhatIfCache,
+    frozen_argmin, ActionWeights, Constraints, DerivationState, FrozenEval, MctsTuner,
+    MeteredWhatIf, RolloutPolicy, SelectionPolicy, Tuner, TuningContext, VanillaGreedy,
+    WarmSnapshot, WarmState, WarmStore, WhatIfCache,
 };
 use ixtune_optimizer::WhatIfOptimizer;
 use ixtune_workload::gen::BenchmarkKind;
@@ -369,8 +369,9 @@ fn bench_mcts_episodes(c: &mut Criterion) {
     group.finish();
 }
 
-/// MCTS rollout completion — the other inner loop rewritten to reuse
-/// its action/weight buffers instead of collecting fresh `Vec`s per step.
+/// MCTS rollout completion (UCT, uniform insertions): each step walks the
+/// admissible actions block by block, counting them and then finding the
+/// drawn one, with nothing collected per step.
 fn bench_rollout(c: &mut Criterion) {
     let mut group = c.benchmark_group("rollout");
     group.sample_size(20);
@@ -380,6 +381,7 @@ fn bench_rollout(c: &mut Criterion) {
     let constraints = Constraints::cardinality(8);
     let policy = RolloutPolicy::RandomStep;
     let selection = SelectionPolicy::uct();
+    let weights = ActionWeights::new(&vec![0.0; ctx.universe()]);
     let empty = IndexSet::empty(ctx.universe());
     let mut rng = seeded(11);
 
@@ -389,7 +391,7 @@ fn bench_rollout(c: &mut Criterion) {
                 &ctx,
                 &constraints,
                 &selection,
-                &[],
+                &weights,
                 &empty,
                 &mut rng,
                 |_, _| {},

@@ -9,6 +9,7 @@
 use crate::ids::IndexId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::ControlFlow;
 
 const BITS: usize = 64;
 
@@ -213,8 +214,8 @@ impl IndexSet {
 
     /// Iterate over the complement (ids in the universe but not in the set) —
     /// the action set `A(s) = I − s` of the MDP. Walks negated blocks with
-    /// `trailing_zeros` (this sits in the MCTS action-set and rollout inner
-    /// loops, where a per-id `contains` probe is measurably slower).
+    /// `trailing_zeros` (this sits in candidate-scan inner loops, where a
+    /// per-id `contains` probe is measurably slower).
     pub fn complement_iter(&self) -> impl Iterator<Item = IndexId> + '_ {
         let n = self.universe();
         self.blocks
@@ -233,6 +234,33 @@ impl IndexSet {
                     base,
                 }
             })
+    }
+
+    /// Visit the complement in ascending order until `f` breaks: the
+    /// block-wise form of [`complement_iter`](Self::complement_iter), one
+    /// `u64` block at a time, for inner loops that must not pay an
+    /// iterator adaptor per id.
+    #[inline]
+    pub fn try_for_each_absent<B>(
+        &self,
+        mut f: impl FnMut(IndexId) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        let n = self.universe();
+        for (bi, &block) in self.blocks.iter().enumerate() {
+            let base = bi * BITS;
+            let valid = if n - base >= BITS {
+                u64::MAX
+            } else {
+                (1u64 << (n - base)) - 1
+            };
+            let mut absent = !block & valid;
+            while absent != 0 {
+                let tz = absent.trailing_zeros() as usize;
+                absent &= absent - 1;
+                f(IndexId::from(base + tz))?;
+            }
+        }
+        ControlFlow::Continue(())
     }
 
     /// Collect members into a vector.

@@ -7,7 +7,8 @@
 //! reports mean ± std; we do the same).
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::ops::ControlFlow;
 
 /// Construct the standard generator from a seed.
 pub fn seeded(seed: u64) -> StdRng {
@@ -49,36 +50,99 @@ pub fn derive_indexed(seed: u64, stream: &str, index: u64) -> StdRng {
     StdRng::seed_from_u64(z ^ (z >> 31))
 }
 
-/// Weighted sampling: pick an element index with probability proportional to
-/// `weights[i]`. Non-finite or negative weights are treated as zero; if all
-/// weights are zero the choice is uniform. Returns `None` on empty input.
+/// How weighted sampling reads a weight: non-finite and non-positive
+/// weights count as zero.
+#[inline]
+pub fn clean_weight(w: f64) -> f64 {
+    if w.is_finite() && w > 0.0 {
+        w
+    } else {
+        0.0
+    }
+}
+
+/// An ordered sequence of weighted items that [`weighted_pick`] walks up to
+/// three times. Every walk must yield the same pairs in the same order.
+pub trait WeightedSeq {
+    type Item: Copy;
+
+    /// Visit `(item, weight)` pairs in order until `f` breaks. Weights are
+    /// already cleaned (see [`clean_weight`]).
+    fn walk<B>(&self, f: impl FnMut(Self::Item, f64) -> ControlFlow<B>) -> ControlFlow<B>;
+}
+
+/// Weighted sampling: pick an item with probability proportional to its
+/// weight; if all weights are zero the choice is uniform. Returns `None`,
+/// drawing nothing, on an empty sequence.
 ///
 /// This implements the paper's Eq. 6 sampling rule
-/// `Pr(a|s) = Q̂(s,a) / Σ_b Q̂(s,b)` used by the ε-greedy variant.
-pub fn weighted_choice<R: rand::Rng>(rng: &mut R, weights: &[f64]) -> Option<usize> {
-    if weights.is_empty() {
+/// `Pr(a|s) = Q̂(s,a) / Σ_b Q̂(s,b)` used by the ε-greedy variant. The
+/// total is summed in sequence order; the uniform branch draws
+/// `random_range(0..len)`, the weighted branch one `random::<f64>()`.
+pub fn weighted_pick<R: Rng + ?Sized, S: WeightedSeq>(rng: &mut R, seq: &S) -> Option<S::Item> {
+    let mut len = 0usize;
+    let mut total = 0.0;
+    let _ = seq.walk(|_, w| {
+        len += 1;
+        total += w;
+        ControlFlow::<()>::Continue(())
+    });
+    if len == 0 {
         return None;
     }
-    let clean = |w: f64| if w.is_finite() && w > 0.0 { w } else { 0.0 };
-    let total: f64 = weights.iter().copied().map(clean).sum();
     if total <= 0.0 {
-        return Some(rng.random_range(0..weights.len()));
+        let mut nth = rng.random_range(0..len);
+        return seq
+            .walk(|item, _| {
+                if nth == 0 {
+                    return ControlFlow::Break(item);
+                }
+                nth -= 1;
+                ControlFlow::Continue(())
+            })
+            .break_value();
     }
     let mut target = rng.random::<f64>() * total;
-    for (i, &w) in weights.iter().enumerate() {
-        target -= clean(w);
+    let hit = seq.walk(|item, w| {
+        target -= w;
         if target <= 0.0 {
-            return Some(i);
+            return ControlFlow::Break(item);
+        }
+        ControlFlow::Continue(())
+    });
+    if let ControlFlow::Break(item) = hit {
+        return Some(item);
+    }
+    // Floating-point slack: fall back to the last positive-weight item.
+    let mut last_positive = None;
+    let _ = seq.walk(|item, w| {
+        if w > 0.0 {
+            last_positive = Some(item);
+        }
+        ControlFlow::<()>::Continue(())
+    });
+    last_positive
+}
+
+/// [`weighted_pick`] over a slice of raw weights, cleaned on the fly;
+/// returns the picked position.
+pub fn weighted_choice<R: Rng>(rng: &mut R, weights: &[f64]) -> Option<usize> {
+    struct Cleaned<'a>(&'a [f64]);
+    impl WeightedSeq for Cleaned<'_> {
+        type Item = usize;
+        fn walk<B>(&self, mut f: impl FnMut(usize, f64) -> ControlFlow<B>) -> ControlFlow<B> {
+            for (i, &w) in self.0.iter().enumerate() {
+                f(i, clean_weight(w))?;
+            }
+            ControlFlow::Continue(())
         }
     }
-    // Floating-point slack: fall back to the last positive-weight element.
-    weights.iter().rposition(|&w| clean(w) > 0.0)
+    weighted_pick(rng, &Cleaned(weights))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::RngExt;
 
     #[test]
     fn seeded_is_deterministic() {
@@ -148,6 +212,27 @@ mod tests {
         assert_eq!(counts[1], 0);
         let frac = counts[2] as f64 / 30_000.0;
         assert!((frac - 0.9).abs() < 0.02, "frac={frac}");
+    }
+
+    /// Floating-point slack: with the largest draw below 1, the running
+    /// subtraction over `[0.6, 0.2, 0.9]` stays above zero, and the pick
+    /// falls back to the last positive weight, skipping trailing zeros.
+    #[test]
+    fn weighted_choice_falls_back_to_the_last_positive_weight() {
+        struct Top;
+        impl rand::RngCore for Top {
+            fn next_u64(&mut self) -> u64 {
+                u64::MAX
+            }
+        }
+        let weights = [0.6, 0.2, 0.9, 0.0, f64::NAN];
+        let total: f64 = weights.iter().copied().map(clean_weight).sum();
+        let mut target = Top.random::<f64>() * total;
+        for &w in &weights {
+            target -= clean_weight(w);
+        }
+        assert!(target > 0.0, "the input must exercise the slack");
+        assert_eq!(weighted_choice(&mut Top, &weights), Some(2));
     }
 
     #[test]

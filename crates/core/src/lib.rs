@@ -65,13 +65,13 @@ pub mod warm;
 
 pub use autoadmin::AutoAdminGreedy;
 pub use budget::{BudgetMeter, MeteredWhatIf, Phase, SessionTelemetry};
-pub use checkpoint::{MctsCheckpoint, SNAPSHOT_VERSION};
+pub use checkpoint::{MctsCheckpoint, ResumeError, SNAPSHOT_VERSION};
 pub use derivation_state::DerivationState;
 pub use derived::{CacheSnapshot, WhatIfCache};
 pub use greedy::{greedy_enumerate, VanillaGreedy};
 pub use matrix::Layout;
 pub use mcts::extract::Extraction;
-pub use mcts::policy::{AmafTable, SelectionPolicy};
+pub use mcts::policy::{ActionWeights, AmafTable, SelectionPolicy};
 pub use mcts::priors::QuerySelection;
 pub use mcts::rollout::RolloutPolicy;
 pub use mcts::tree::TreeSnapshot;

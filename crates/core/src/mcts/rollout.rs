@@ -7,11 +7,9 @@
 //! together with Best-Greedy extraction). Index choice is uniform under
 //! UCT and prior-proportional under ε-greedy.
 
-use crate::mcts::policy::SelectionPolicy;
+use crate::mcts::policy::{ActionWeights, Actions, SelectionPolicy};
 use crate::tuner::{Constraints, TuningContext};
-use ixtune_common::rng::weighted_choice;
 use ixtune_common::{IndexId, IndexSet};
-use rand::prelude::IndexedRandom;
 use rand::rngs::StdRng;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
@@ -36,7 +34,8 @@ impl RolloutPolicy {
 
     /// Run a rollout from `config` (at depth `d = |config|`): sample the
     /// step size, then insert that many admissible indexes chosen per the
-    /// action-selection flavor. Each insertion is reported as
+    /// action-selection flavor ([`SelectionPolicy::rollout_pick`] over the
+    /// priors in `weights`). Each insertion is reported as
     /// `on_insert(configuration before it, inserted index)` — the MCTS
     /// episode extends its per-query costs this way.
     #[allow(clippy::too_many_arguments)]
@@ -45,7 +44,7 @@ impl RolloutPolicy {
         ctx: &TuningContext<'_>,
         constraints: &Constraints,
         selection: &SelectionPolicy,
-        priors: &[f64],
+        weights: &ActionWeights,
         config: &IndexSet,
         rng: &mut StdRng,
         mut on_insert: impl FnMut(&IndexSet, IndexId),
@@ -64,34 +63,13 @@ impl RolloutPolicy {
         };
 
         let mut out = config.clone();
-        // Action and weight buffers are reused across rollout steps.
-        let mut actions: Vec<IndexId> = Vec::new();
-        let mut weights: Vec<f64> = Vec::new();
         for _ in 0..steps {
-            let filter = constraints.extension_filter(ctx, &out);
-            actions.clear();
-            actions.extend(out.complement_iter().filter(|&a| filter.admits(ctx, a)));
-            if actions.is_empty() {
+            let actions = Actions::new(ctx, constraints, &out);
+            let Some(a) = selection.rollout_pick(&actions, weights, rng) else {
                 break;
-            }
-            let pick = if selection.uses_priors() {
-                weights.clear();
-                weights.extend(
-                    actions
-                        .iter()
-                        .map(|a| priors.get(a.index()).copied().unwrap_or(0.0).max(0.0)),
-                );
-                weighted_choice(rng, &weights).map(|i| actions[i])
-            } else {
-                actions.choose(rng).copied()
             };
-            match pick {
-                Some(a) => {
-                    on_insert(&out, a);
-                    out.insert(a);
-                }
-                None => break,
-            }
+            on_insert(&out, a);
+            out.insert(a);
         }
         out
     }
@@ -123,7 +101,7 @@ mod tests {
             &ctx,
             &c,
             &SelectionPolicy::uct(),
-            &[],
+            &ActionWeights::new(&vec![0.0; ctx.universe()]),
             &cfg,
             &mut rng,
             |_, _| {},
@@ -143,7 +121,7 @@ mod tests {
             &ctx,
             &c,
             &SelectionPolicy::uct(),
-            &[],
+            &ActionWeights::new(&vec![0.0; ctx.universe()]),
             &cfg,
             &mut rng,
             |_, _| {},
@@ -163,7 +141,7 @@ mod tests {
                 &ctx,
                 &c,
                 &SelectionPolicy::uct(),
-                &[],
+                &ActionWeights::new(&vec![0.0; ctx.universe()]),
                 &IndexSet::empty(ctx.universe()),
                 &mut rng,
                 |_, _| {},
@@ -185,7 +163,7 @@ mod tests {
             &ctx,
             &c,
             &SelectionPolicy::uct(),
-            &[],
+            &ActionWeights::new(&vec![0.0; ctx.universe()]),
             &cfg,
             &mut rng,
             |_, _| {},
@@ -201,6 +179,7 @@ mod tests {
         assert!(n >= 3);
         let mut priors = vec![0.0; n];
         priors[1] = 0.9;
+        let weights = ActionWeights::new(&priors);
         let c = Constraints::cardinality(1);
         let mut rng = seeded(5);
         for _ in 0..30 {
@@ -208,7 +187,7 @@ mod tests {
                 &ctx,
                 &c,
                 &SelectionPolicy::EpsilonGreedyPrior,
-                &priors,
+                &weights,
                 &IndexSet::empty(n),
                 &mut rng,
                 |_, _| {},

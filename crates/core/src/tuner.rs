@@ -19,6 +19,7 @@ use ixtune_candidates::CandidateSet;
 use ixtune_common::{IndexId, IndexSet};
 use ixtune_optimizer::{SimulatedOptimizer, WhatIfOptimizer};
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Everything a tuning session reads: the optimizer (schema + workload +
@@ -195,6 +196,32 @@ impl ExtensionFilter {
                 None => true,
                 Some(limit) => self.used_bytes + ctx.opt.candidate_size_bytes(extra) <= limit,
             }
+    }
+
+    /// Visit the candidates outside `config` (the configuration this filter
+    /// was built for) that the filter admits, in ascending id order, until
+    /// `f` breaks. The cardinality test and the storage branch are decided
+    /// once, outside the block-wise complement walk.
+    #[inline]
+    pub(crate) fn try_for_each_admitted<B>(
+        &self,
+        ctx: &TuningContext<'_>,
+        config: &IndexSet,
+        mut f: impl FnMut(IndexId) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        if !self.len_ok {
+            return ControlFlow::Continue(());
+        }
+        match self.limit {
+            None => config.try_for_each_absent(f),
+            Some(limit) => config.try_for_each_absent(|a| {
+                if self.used_bytes + ctx.opt.candidate_size_bytes(a) <= limit {
+                    f(a)
+                } else {
+                    ControlFlow::Continue(())
+                }
+            }),
+        }
     }
 }
 

@@ -972,7 +972,7 @@ fn run_session(
                     };
                     match tuner.resume(&ctx, &ckpt, stop) {
                         Ok(o) => o,
-                        Err(e) => return Settled::Failed(e),
+                        Err(e) => return Settled::Failed(e.to_string()),
                     }
                 }
                 None => tuner.run_resumable(&ctx, &req, stop),
