@@ -29,17 +29,14 @@ fn primed_client(session: &Session, entries: usize) -> MeteredWhatIf<'_> {
     mw
 }
 
-/// Raw what-if evaluations: the compiled per-query plan-table kernel
-/// versus the interpreted reference model it replaced. Each iteration
-/// prices the same 64-cell batch of (query, configuration) pairs, so the
-/// two series differ only in the evaluation path and their ratio is the
-/// kernel speedup.
+/// Raw what-if evaluations through the compiled per-query plan-table
+/// kernel. Each iteration prices the same 64-cell batch of (query,
+/// configuration) pairs.
 fn bench_whatif(c: &mut Criterion) {
     let mut group = c.benchmark_group("whatif");
     group.sample_size(30);
 
-    let mut session = Session::build(BenchmarkKind::TpcDs);
-    session.opt.set_compiled(true);
+    let session = Session::build(BenchmarkKind::TpcDs);
     let n = session.cands.len();
     let m = session.opt.num_queries();
     let mut rng = seeded(13);
@@ -58,15 +55,6 @@ fn bench_whatif(c: &mut Criterion) {
             let mut acc = 0.0;
             for (q, cfg) in &cells {
                 acc += session.opt.what_if_cost(*q, cfg);
-            }
-            black_box(acc)
-        })
-    });
-    group.bench_function("interpreted-call", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for (q, cfg) in &cells {
-                acc += session.opt.interpreted_what_if_cost(*q, cfg);
             }
             black_box(acc)
         })

@@ -13,8 +13,8 @@
 //! no hashing, no re-planning — with scratch buffers reused across calls.
 //!
 //! **Bit identity.** The compiled evaluator must produce *exactly* the
-//! bits of the interpreted path (it is swapped in silently under every
-//! cache, snapshot and telemetry layer). This holds by construction:
+//! bits of the interpreted walk (it sits silently under every cache,
+//! snapshot and telemetry layer). This holds by construction:
 //!
 //! * every per-index access cost is produced by the same function the
 //!   interpreted fold calls ([`CostModel::index_access_cost`],
@@ -37,9 +37,11 @@
 //!   (`h_base`) at compile time and applies the identical
 //!   `wrapping_add(total.to_bits())` tail at call time.
 //!
-//! The interpreted path stays in the build as the proptest oracle
-//! (`crates/core/tests/compiled_kernel_props.rs` pins full tuning
-//! sessions, telemetry included, and raw per-call bits).
+//! The kernel is the only evaluator that serves what-if calls. The
+//! interpreted walk ([`CostModel::query_cost_with`]) is its reference:
+//! tests reach it through `CostModel::query_cost` and compare raw
+//! per-call bits (`crates/core/tests/compiled_kernel_props.rs`) and every
+//! cost a pinned session read (`tests/mcts_golden.rs`).
 
 use crate::cost::CostModel;
 use crate::index::IndexDef;
@@ -232,10 +234,6 @@ impl CompiledWorkload {
             .map(|(qi, q)| compile_query(schema, q, candidates, &per_query_slot[qi], model))
             .collect();
         Self { queries }
-    }
-
-    pub fn num_queries(&self) -> usize {
-        self.queries.len()
     }
 
     /// What-if cost of query `q` under `config` — bit-identical to

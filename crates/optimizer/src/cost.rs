@@ -474,11 +474,11 @@ impl CostModel {
     /// Test-oracle wrapper over [`query_cost_with`](Self::query_cost_with)
     /// that accepts an allocating `-> Vec<&IndexDef>` closure.
     ///
-    /// Not part of the hot path: every production caller goes through the
-    /// visitor form (or the compiled kernel, which is proptest-pinned to
-    /// it); this wrapper exists so tests can state configurations as plain
-    /// `Vec`s. Kept callable from integration tests/benches, hence not
-    /// `#[cfg(test)]` — but do not introduce new non-test callers.
+    /// Not part of the hot path: what-if calls are served by the compiled
+    /// kernel, which is pinned to this walk; this wrapper exists so tests
+    /// can state configurations as plain `Vec`s. Kept callable from
+    /// integration tests, hence not `#[cfg(test)]` — but do not introduce
+    /// non-test callers.
     #[doc(hidden)]
     pub fn query_cost<'a>(
         &self,
@@ -493,8 +493,8 @@ impl CostModel {
         })
     }
 
-    /// What-if cost of `q` with a visitor-style `avail` — the
-    /// allocation-free path used by `SimulatedOptimizer::what_if_cost`.
+    /// What-if cost of `q` with a visitor-style `avail` — the interpreted
+    /// reference walk the compiled kernel must reproduce bit for bit.
     pub fn query_cost_with(&self, schema: &Schema, q: &Query, avail: &SlotIndexVisitor<'_>) -> f64 {
         let comps = self.components(q);
 

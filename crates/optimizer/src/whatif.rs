@@ -23,19 +23,6 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
 }
 
-/// `IXTUNE_COMPILED=0|false|off` disables the compiled kernel (the
-/// interpreted path then serves every call). Anything else — including
-/// the variable being unset — enables it.
-fn env_compiled_enabled() -> bool {
-    match std::env::var("IXTUNE_COMPILED") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off"
-        ),
-        Err(_) => true,
-    }
-}
-
 /// The what-if API surface a tuner sees.
 pub trait WhatIfOptimizer: Sync {
     /// Number of queries in the tuned workload.
@@ -59,18 +46,15 @@ pub struct SimulatedOptimizer {
     schema: Schema,
     workload: Workload,
     candidates: Vec<IndexDef>,
-    /// `per_query_slot[q][slot]` = candidate ids whose table matches the
-    /// slot's table (precomputed so each what-if call is a cheap filter).
-    per_query_slot: Vec<Vec<Vec<IndexId>>>,
     /// Precomputed per-candidate sizes — storage-constraint checks sit in
     /// per-candidate inner loops and must not recompute column widths.
     cand_sizes: Vec<u64>,
     model: CostModel,
     latency: LatencyModel,
     calls: AtomicU64,
-    /// Compiled what-if kernel (bit-identical to the interpreted path).
-    /// `None` when disabled via `IXTUNE_COMPILED=0` or `set_compiled`.
-    compiled: Option<CompiledWorkload>,
+    /// Compiled what-if kernel: per-query plan tables, bit-identical to
+    /// the [`CostModel`] walk they were compiled from.
+    compiled: CompiledWorkload,
 }
 
 impl SimulatedOptimizer {
@@ -78,7 +62,9 @@ impl SimulatedOptimizer {
     /// by `ixtune-candidates`).
     pub fn new(instance: BenchmarkInstance, candidates: Vec<IndexDef>, model: CostModel) -> Self {
         let BenchmarkInstance { schema, workload } = instance;
-        let per_query_slot = workload
+        // `per_query_slot[q][slot]` = candidate ids whose table matches the
+        // slot's table: the postings the plan tables are compiled over.
+        let per_query_slot: Vec<Vec<Vec<IndexId>>> = workload
             .queries
             .iter()
             .map(|q| {
@@ -96,79 +82,18 @@ impl SimulatedOptimizer {
             })
             .collect();
         let cand_sizes = candidates.iter().map(|c| c.size_bytes(&schema)).collect();
-        let mut opt = Self {
+        let compiled =
+            CompiledWorkload::build(&schema, &workload, &candidates, &per_query_slot, &model);
+        Self {
             schema,
             workload,
             candidates,
-            per_query_slot,
             cand_sizes,
             model,
             latency: LatencyModel::default(),
             calls: AtomicU64::new(0),
-            compiled: None,
-        };
-        opt.set_compiled(env_compiled_enabled());
-        opt
-    }
-
-    /// Enable or disable the compiled kernel (tests/benches; production
-    /// follows `IXTUNE_COMPILED` at construction). Enabling recompiles
-    /// from the retained schema/workload/candidates.
-    pub fn set_compiled(&mut self, on: bool) {
-        self.compiled = on.then(|| {
-            CompiledWorkload::build(
-                &self.schema,
-                &self.workload,
-                &self.candidates,
-                &self.per_query_slot,
-                &self.model,
-            )
-        });
-    }
-
-    /// Whether what-if calls are served by the compiled kernel.
-    pub fn compiled_enabled(&self) -> bool {
-        self.compiled.is_some()
-    }
-
-    /// Number of queries compiled into plan tables (0 when the kernel is
-    /// disabled) — feeds the `ixtune_compiled_queries_total` counter.
-    pub fn compiled_query_count(&self) -> usize {
-        self.compiled
-            .as_ref()
-            .map_or(0, CompiledWorkload::num_queries)
-    }
-
-    /// Calls served by the compiled kernel (all of them or none: the
-    /// kernel is selected at construction, not per call).
-    pub fn compiled_calls_served(&self) -> u64 {
-        if self.compiled.is_some() {
-            self.calls.load(Ordering::Relaxed)
-        } else {
-            0
+            compiled,
         }
-    }
-
-    /// Interpreted-path cost — the test oracle the compiled kernel is
-    /// pinned against. Does **not** count as a served call and ignores
-    /// the compiled kernel even when enabled.
-    pub fn interpreted_what_if_cost(&self, q: QueryId, config: &IndexSet) -> f64 {
-        self.interpreted_cost(q, config)
-    }
-
-    fn interpreted_cost(&self, q: QueryId, config: &IndexSet) -> f64 {
-        let query = self.workload.query(q);
-        let slots = &self.per_query_slot[q.index()];
-        // Visitor form: walk the precomputed slot postings directly instead
-        // of materializing a `Vec<&IndexDef>` per slot per call.
-        self.model
-            .query_cost_with(&self.schema, query, &|slot, sink| {
-                for id in &slots[slot.index()] {
-                    if config.contains(*id) {
-                        sink(&self.candidates[id.index()]);
-                    }
-                }
-            })
     }
 
     /// Modeled wall-clock of one what-if call for query `q` — what a real
@@ -224,8 +149,9 @@ impl SimulatedOptimizer {
     /// Content fingerprint of everything a what-if answer depends on:
     /// schema (tables, row counts, column types and NDVs), workload
     /// (scans, filters with selectivities, joins, grouping/ordering/
-    /// projection, weights), and the candidate universe (tables, key and
-    /// include column lists, in id order). Two optimizers with equal
+    /// projection, weights), the candidate universe (tables, key and
+    /// include column lists, in id order), and every [`CostModel`]
+    /// constant (in declaration order). Two optimizers with equal
     /// fingerprints price every `(query, config)` cell identically, so the
     /// daemon's warm cost store keys snapshots by this value: query ids
     /// and index ids mean the same thing on both sides, and cached costs
@@ -315,6 +241,33 @@ impl SimulatedOptimizer {
             }
             h.sep();
         }
+        h.sep();
+        // Exhaustive destructuring: a new model constant fails to compile
+        // here until it joins the key.
+        let CostModel {
+            page_io,
+            row_cpu,
+            seek_descend,
+            probe_descend,
+            rid_lookup,
+            hash_build,
+            hash_probe,
+            sort_factor,
+            quirk_eps,
+        } = &self.model;
+        for v in [
+            page_io,
+            row_cpu,
+            seek_descend,
+            probe_descend,
+            rid_lookup,
+            hash_build,
+            hash_probe,
+            sort_factor,
+            quirk_eps,
+        ] {
+            h.f64(*v);
+        }
         h.0
     }
 }
@@ -330,10 +283,7 @@ impl WhatIfOptimizer for SimulatedOptimizer {
 
     fn what_if_cost(&self, q: QueryId, config: &IndexSet) -> f64 {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        if let Some(cw) = &self.compiled {
-            return SCRATCH.with(|s| cw.cost(q.index(), config, &mut s.borrow_mut()));
-        }
-        self.interpreted_cost(q, config)
+        SCRATCH.with(|s| self.compiled.cost(q.index(), config, &mut s.borrow_mut()))
     }
 
     fn calls_served(&self) -> u64 {
@@ -440,6 +390,38 @@ mod tests {
             SimulatedOptimizer::new(inst, cands, CostModel::default())
         };
         assert_ne!(a.content_fingerprint(), synth_a.content_fingerprint());
+    }
+
+    #[test]
+    fn content_fingerprint_covers_every_model_constant() {
+        let base = CostModel::default();
+        let fingerprint = |model: CostModel| {
+            let (inst, cands) = tiny_instance();
+            SimulatedOptimizer::new(inst, cands, model).content_fingerprint()
+        };
+        let reference = fingerprint(base.clone());
+        let fields: [fn(&mut CostModel) -> &mut f64; 9] = [
+            |m| &mut m.page_io,
+            |m| &mut m.row_cpu,
+            |m| &mut m.seek_descend,
+            |m| &mut m.probe_descend,
+            |m| &mut m.rid_lookup,
+            |m| &mut m.hash_build,
+            |m| &mut m.hash_probe,
+            |m| &mut m.sort_factor,
+            |m| &mut m.quirk_eps,
+        ];
+        let mut seen = vec![reference];
+        for field in fields {
+            let mut model = base.clone();
+            *field(&mut model) += 0.125;
+            let fp = fingerprint(model);
+            assert!(
+                !seen.contains(&fp),
+                "a model constant left the key unchanged"
+            );
+            seen.push(fp);
+        }
     }
 
     #[test]

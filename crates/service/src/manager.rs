@@ -771,16 +771,6 @@ fn worker_loop(
             Some(p) => Ok(p),
             None => spec.workload.prepare().map(|p| {
                 let p = Arc::new(p);
-                // Count the per-query plan tables compiled for this
-                // workload (0 when `IXTUNE_COMPILED=0` forces the
-                // interpreted path).
-                registry
-                    .counter(
-                        "ixtune_compiled_queries_total",
-                        "Per-query plan tables compiled at workload preparation",
-                        &[],
-                    )
-                    .add(p.opt.compiled_query_count() as u64);
                 state.with(|st| {
                     st.insert_workload(key.clone(), &p, cfg.prepared_capacity);
                 });

@@ -7,10 +7,9 @@
 # headline ratios: the greedy-step speedup of the incremental
 # DerivationState probe over the full derived_workload rescan it
 # replaced, the further speedup of the frozen-cache parallel kernel over
-# the incremental probe, the root-parallel MCTS session ratio, the
+# the incremental probe, the root-parallel MCTS session ratio, and the
 # warm-store ratios (cold-start session over the identical session
-# seeded from a warm snapshot), and the compiled what-if kernel ratio
-# (interpreted reference model over the compiled plan tables).
+# seeded from a warm snapshot).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,10 +40,6 @@ for budget in (256, 1024):
     warm = medians.get(f"greedy-step/warm-u{budget}")
     if cold and warm:
         doc[f"warm_session_u{budget}_speedup"] = round(cold / warm, 2)
-comp = medians.get("whatif/compiled-call")
-interp = medians.get("whatif/interpreted-call")
-if comp and interp:
-    doc["whatif_compiled_speedup"] = round(interp / comp, 2)
 serial = medians.get("mcts/episodes-serial")
 par = medians.get("mcts/episodes-parallel")
 if serial and par:

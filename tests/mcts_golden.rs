@@ -20,12 +20,16 @@
 //!   configuration from the partial union; the cancelled vanilla row stops
 //!   between greedy steps.
 //!
-//! The values hold for the compiled and the interpreted what-if kernel
-//! alike (`IXTUNE_COMPILED=0`).
+//! Each row also re-prices, with the interpreted reference model
+//! (`CostModel::query_cost`), every cost its session read: each cell of
+//! the call layout, and `∅` and the recommended configuration for every
+//! query. The bits must equal the compiled kernel's, so the pinned values
+//! are the interpreted model's too.
 
 use ixtune::candidates::{generate_default, CandidateSet};
+use ixtune::common::{IndexSet, QueryId};
 use ixtune::core::prelude::*;
-use ixtune::optimizer::{CostModel, SimulatedOptimizer};
+use ixtune::optimizer::{CostModel, SimulatedOptimizer, WhatIfOptimizer};
 use ixtune::workload::gen::{synth, tpch};
 use ixtune::workload::BenchmarkInstance;
 
@@ -165,6 +169,37 @@ fn greedy_sessions(budget: usize) -> Vec<Session> {
     ]
 }
 
+/// The interpreted reference cost of `(q, config)`: the cost model walked
+/// over the configuration's candidates on each scan slot's table, in
+/// ascending id order.
+fn oracle_cost(opt: &SimulatedOptimizer, q: QueryId, config: &IndexSet) -> f64 {
+    let query = opt.query(q);
+    opt.cost_model().query_cost(opt.schema(), query, &|slot| {
+        config
+            .iter()
+            .map(|id| opt.candidate(id))
+            .filter(|c| c.table == query.table_of(slot))
+            .collect()
+    })
+}
+
+/// Every cost `r` depends on — its layout cells, then `∅` and `r.config`
+/// for every query — priced by the kernel and by the oracle: the first
+/// cell whose bits differ, if any.
+fn oracle_mismatch(opt: &SimulatedOptimizer, r: &TuningResult) -> Option<(QueryId, IndexSet)> {
+    let empty = IndexSet::empty(opt.num_candidates());
+    let answers = (0..opt.num_queries()).flat_map(|qi| {
+        let q = QueryId::from(qi);
+        [(q, empty.clone()), (q, r.config.clone())]
+    });
+    r.layout
+        .cells()
+        .iter()
+        .cloned()
+        .chain(answers)
+        .find(|(q, cfg)| opt.what_if_cost(*q, cfg).to_bits() != oracle_cost(opt, *q, cfg).to_bits())
+}
+
 fn check(
     label: &str,
     inst: BenchmarkInstance,
@@ -213,6 +248,12 @@ fn check(
             "{label}/{} drifted from its golden row; got {{ {got} }}",
             s.name
         );
+        if let Some((q, cfg)) = oracle_mismatch(opt, &r) {
+            panic!(
+                "{label}/{}: compiled and interpreted costs differ at {q:?} {cfg:?}",
+                s.name
+            );
+        }
     }
 }
 
